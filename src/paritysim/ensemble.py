@@ -26,10 +26,8 @@ from .trajectory import (
     C_NOISE,
     SimConfig,
     TrajectoryRecord,
+    advance_class,
     clip_floor,
-    clip_negative_eigenvalues,
-    hermitize,
-    step_batch,
 )
 
 __all__ = [
@@ -219,7 +217,7 @@ def _noise_generators(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
 
 def _ensemble_chunk(args) -> dict:
     """Runs [lo, hi): the batched mirror of trajectory.simulate."""
-    cfg, initial_mat, lo, hi, rise_threshold = args
+    cfg, p0, y0, lo, hi, rise_threshold = args
     n = hi - lo
     n_steps = cfg.n_steps
     rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
@@ -232,14 +230,16 @@ def _ensemble_chunk(args) -> dict:
 
     gens = _noise_generators(cfg.seed, lo, hi)
     n_blocks = -(-n_steps // _NOISE_BLOCK)
-    xi_all = np.empty((n, n_blocks * _NOISE_BLOCK))
+    # step-major, so each step reads one contiguous row
+    xi_all = np.empty((n_blocks * _NOISE_BLOCK, n))
     for j, g in enumerate(gens):
         for b in range(n_blocks):
-            xi_all[j, b * _NOISE_BLOCK : (b + 1) * _NOISE_BLOCK] = g.normal(
+            xi_all[b * _NOISE_BLOCK : (b + 1) * _NOISE_BLOCK, j] = g.normal(
                 0.0, sigma, _NOISE_BLOCK
             )
 
-    rho = np.tile(initial_mat.astype(np.complex128), (n, 1, 1))
+    p = np.tile(p0, (n, 1))
+    y = np.full(n, y0)
     lam_rec = np.empty((n, n_rec))
     genesis = np.full(n, np.nan)
     genesis_seen = np.zeros(n, dtype=bool)
@@ -251,8 +251,7 @@ def _ensemble_chunk(args) -> dict:
     prev_lam = None
     slot = 0
     for k in range(n_steps + 1):
-        pops = np.real(np.einsum("nii->ni", rho))
-        l1, l2, l3 = lambda_branch_values(pops, np.imag(rho[:, 1, 2]))
+        l1, l2, l3 = lambda_branch_values(p, y)
         lam = np.maximum(np.maximum(l1, l2), l3)
         if rec_steps[slot] == k:
             lam_rec[:, slot] = lam
@@ -287,21 +286,11 @@ def _ensemble_chunk(args) -> dict:
         prev_lam = lam
         if k == n_steps:
             break
-        rho = step_batch(rho, xi_all[:, k], dt, s0, cfg.delta, cfg.gamma)
-        rho = hermitize(rho)
-        tr = np.real(rho[:, 0, 0] + rho[:, 1, 1] + rho[:, 2, 2] + rho[:, 3, 3])
-        bad = ~np.isfinite(tr) | (np.abs(tr - 1.0) > 1e-6)
-        if bad.any():
-            j = int(np.nonzero(bad)[0][0])
-            raise DivergenceError(
-                f"run {lo + j}: trace drifted to {tr[j]!r} at step {k + 1}"
-            )
-        corrections += float(np.abs(tr - 1.0).sum())
-        rho /= tr[:, None, None]
         try:
-            rho, clipped, n_c = clip_negative_eigenvalues(rho, floor)
+            p, y, corr, clipped, n_c = advance_class(p, y, xi_all[k], cfg, floor)
         except DivergenceError as exc:
             raise DivergenceError(f"runs [{lo}, {hi}) at step {k + 1}: {exc}") from None
+        corrections += corr
         clip_total += clipped
         n_clips += n_c
 
@@ -340,7 +329,8 @@ def run_ensemble(
 
     Entanglement along runs is evaluated with the X-class branch values,
     so the initial state must be in the closed class (rho_14 = 0, rho_23
-    imaginary); the dynamics never leaves it. rise_threshold, if given,
+    imaginary); the dynamics never leaves it, and runs are integrated on
+    the class kernel (populations and Im rho_23). rise_threshold, if given,
     also records the first time each run's branch maximum exceeds it.
     """
     if n_runs < 1:
@@ -351,8 +341,10 @@ def run_ensemble(
             "ensemble statistics require the closed X class "
             "(rho_14 = 0, rho_23 imaginary)"
         )
+    p0 = initial.diag
+    y0 = float(np.imag(mat[1, 2]))
     chunks = [
-        (cfg, mat, lo, min(lo + _CHUNK, n_runs), rise_threshold)
+        (cfg, p0, y0, lo, min(lo + _CHUNK, n_runs), rise_threshold)
         for lo in range(0, n_runs, _CHUNK)
     ]
     parts = _map_chunks(_ensemble_chunk, chunks, jobs)

@@ -24,6 +24,7 @@ __all__ = [
     "Outcome",
     "ProjectiveRun",
     "rotation",
+    "rotate_class",
     "project_parity",
     "projective_step",
     "run_projective",
@@ -36,6 +37,8 @@ _EVEN_MASK = np.zeros((4, 4))
 _EVEN_MASK[:2, :2] = 1.0
 _ODD_MASK = np.zeros((4, 4))
 _ODD_MASK[2:, 2:] = 1.0
+_EVEN_POPS = np.array([1.0, 1.0, 0.0, 0.0])
+_ODD_POPS = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 class Outcome(enum.Enum):
@@ -51,6 +54,26 @@ def rotation(delta_angle: float) -> np.ndarray:
     u[1, 1] = u[2, 2] = c
     u[1, 2] = u[2, 1] = -1j * s
     return u
+
+
+def rotate_class(
+    p: np.ndarray, y: np.ndarray, delta_angle: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """rotation(delta_angle) applied to closed-class lanes: (n, 4)
+    populations and (n,) y = Im rho_23, returned as new arrays.
+
+    The u2-u3 block is h + d sigma_z - y sigma_y with h, d the half sum and
+    half difference of p2, p3; the rotation turns (d, y) by twice the
+    angle and leaves h, p1 and p4 alone.
+    """
+    c, s = math.cos(2.0 * delta_angle), math.sin(2.0 * delta_angle)
+    h = 0.5 * (p[:, 1] + p[:, 2])
+    d = 0.5 * (p[:, 1] - p[:, 2])
+    d_new = c * d - s * y
+    out = p.copy()
+    out[:, 1] = h + d_new
+    out[:, 2] = h - d_new
+    return out, c * y + s * d
 
 
 def project_parity(rho: DensityMatrix, parity: Outcome) -> tuple[float, DensityMatrix]:
@@ -162,24 +185,28 @@ def monte_carlo_average(
     """Vectorized ensemble of projective chains from the fully mixed state.
 
     Returns (mean concurrence, standard error) per step, shape (n_steps,).
-    Deterministic in seed; all runs advance in lockstep on one stream.
+    Deterministic in seed; all runs advance in lockstep on one stream. The
+    chain never leaves the closed class, so runs are carried as populations
+    and Im rho_23.
     """
     if n_steps < 1 or n_runs < 1:
         raise ValueError("n_steps and n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    u = rotation(delta_angle)
-    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (n_runs, 4, 4)).copy()
+    p = np.full((n_runs, 4), 0.25)
+    y = np.zeros(n_runs)
     means = np.empty(n_steps)
     ses = np.empty(n_steps)
     for k in range(n_steps):
-        rho = np.einsum("ij,njk,lk->nil", u, rho, np.conjugate(u))
-        p_even = np.real(rho[:, 0, 0] + rho[:, 1, 1])
+        p, y = rotate_class(p, y, delta_angle)
+        p_even = p[:, 0] + p[:, 1]
         even = rng.random(n_runs) < p_even
-        mask = np.where(even[:, None, None], _EVEN_MASK[None], _ODD_MASK[None])
+        # the projection keeps one parity block and, with it, drops the
+        # u2-u3 coherence that links the blocks
+        mask = np.where(even[:, None], _EVEN_POPS, _ODD_POPS)
         norm = np.where(even, p_even, 1.0 - p_even)
-        rho = rho * mask / norm[:, None, None]
-        pops = np.real(np.einsum("nii->ni", rho))
-        l1, l2, l3 = lambda_branch_values(pops, np.imag(rho[:, 1, 2]))
+        p = p * mask / norm[:, None]
+        y = np.zeros(n_runs)
+        l1, l2, l3 = lambda_branch_values(p, y)
         c = np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0)
         means[k] = c.mean()
         ses[k] = c.std(ddof=1) / math.sqrt(n_runs)

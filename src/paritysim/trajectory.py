@@ -19,6 +19,12 @@ The stochastic and decay coefficient matrices are real and symmetric and
 the Hamiltonian term is Hermitian, so the update preserves Hermiticity and
 trace exactly in exact arithmetic; the integrator renormalizes the trace
 each step and logs the (rounding-level) corrections.
+
+States on the closed class (rho_14 = 0, rho_23 purely imaginary) are
+integrated as five real numbers per lane by class_step, with positivity
+tested and projected in closed form by class_repair; the (n, 4, 4) kernel
+step_batch with the polynomial trigger psd_violations and the eigh repair
+clip_negative_eigenvalues serves states off the class.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ __all__ = [
     "ito_step",
     "simulate",
     "step_batch",
-    "step_diagonal",
+    "class_step",
+    "class_repair",
+    "advance_class",
     "psd_violations",
     "clip_negative_eigenvalues",
     "clip_floor",
@@ -63,6 +71,8 @@ _DEC8 = (_I[:, None] - _I[None, :]) ** 2 / 8.0
 # runtime-drift allowance, looser than the analytic class_tol
 _RECORD_CLASS_TOL = 1e-7
 _NOISE_BLOCK = 4096
+_CLASS_PATTERN = np.eye(4, dtype=bool)
+_CLASS_PATTERN[1, 2] = _CLASS_PATTERN[2, 1] = True
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ class SimConfig:
             g = np.array(self.gamma, dtype=float)
         if g.shape != (4, 4):
             raise ValueError("gamma must be a 4x4 matrix")
-        if not np.allclose(g, g.T, atol=0.0):
+        if not np.array_equal(g, g.T):
             raise ValueError("gamma must be symmetric")
         if np.any(g < 0.0):
             raise ValueError("gamma rates must be nonnegative")
@@ -186,17 +196,6 @@ def step_batch(
     comm[:, :, 1] -= rho[:, :, 2]
     comm[:, :, 2] -= rho[:, :, 1]
     return rho + drho - 1j * delta * dt * comm
-
-
-def step_diagonal(p: np.ndarray, xi: np.ndarray, dt: float, s0: float) -> np.ndarray:
-    """Measurement-only update of diagonal states, (n, 4) populations.
-
-    Identical arithmetic to step_batch restricted to the diagonal; valid
-    only with the Hamiltonian off (Delta = 0), where diagonal states stay
-    diagonal. Preserves the population sum exactly.
-    """
-    mean_i = p @ _I
-    return p * (1.0 + xi[:, None] * (_I[None, :] - mean_i[:, None]) * (dt / s0))
 
 
 def psd_violations(rho: np.ndarray, tol: float) -> np.ndarray:
@@ -277,6 +276,145 @@ def clip_floor(cfg: SimConfig) -> float:
     any such scale within a few steps. The floor sits well above grazing
     and far below runaway; clip volume is logged either way."""
     return 0.05 + 2.0 * cfg.delta * cfg.dt
+
+
+# On the closed class (rho_14 = 0, rho_23 = i y, every other off-diagonal
+# entry zero) a state is its populations p, shape (n, 4), plus y, shape
+# (n,). The (populations, Im rho_23) part of step_batch is a closed
+# subsystem for any initial state: H couples only u2 and u3, the
+# measurement terms act elementwise, and the mean current depends on the
+# populations alone.
+
+# class eigenvalues in [-_CLASS_SLACK, 0) are rounding, not overshoot; the
+# bound keeps every unrepaired 2x2 determinant p2 p3 - y^2 above -1e-15
+_CLASS_SLACK = 1e-15
+_TRACE_DRIFT = 1e-6
+
+
+def class_step(
+    p: np.ndarray,
+    y: np.ndarray,
+    xi: np.ndarray,
+    dt: float,
+    s0: float,
+    delta: float,
+    gamma23: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step_batch on the closed class, returning new (p, y).
+
+    With a = xi dt / S0 and m the mean current: p_i *= 1 + a (I_i - m);
+    the drive moves 2 delta dt y from u2 to u3; y decays at the
+    measurement rate 1/(2 S0) plus gamma23 and is fed by delta dt (p2 - p3).
+    The trace is left for the caller to renormalize.
+    """
+    m = (p[:, 0] + p[:, 1]) - (p[:, 2] + p[:, 3])
+    a = xi * (dt / s0)
+    new_p = p * (1.0 + a[:, None] * (_I - m[:, None]))
+    flow = (2.0 * delta * dt) * y
+    new_p[:, 1] -= flow
+    new_p[:, 2] += flow
+    new_y = y * (1.0 - m * a - (0.5 / s0 + gamma23) * dt) + (delta * dt) * (
+        p[:, 1] - p[:, 2]
+    )
+    return new_p, new_y
+
+
+def class_repair(
+    p: np.ndarray, y: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Closed-form positivity projection of class lanes.
+
+    The spectrum of a class state is p1, p4 and h +- r, with h = (p2 + p3)/2
+    and r = sqrt(((p2 - p3)/2)^2 + y^2). Lanes with an eigenvalue below
+    -_CLASS_SLACK get every negative eigenvalue clipped to zero, keeping the
+    eigenvectors, and are renormalized: the projection
+    clip_negative_eigenvalues makes with eigh. Other lanes are returned
+    unchanged. An eigenvalue below -floor raises DivergenceError. Returns
+    (p, y, total clipped magnitude, number of lanes clipped).
+    """
+    p1, p2, p3, p4 = p.T
+    h = 0.5 * (p2 + p3)
+    d = 0.5 * (p2 - p3)
+    r = np.hypot(d, y)
+    lp = h + r
+    lm = h - r
+    low = np.minimum(np.minimum(p1, p4), lm)
+    flagged = low < -_CLASS_SLACK
+    if not flagged.any():
+        return p, y, 0.0, 0
+    worst = float(low.min())
+    if worst < -floor:
+        raise DivergenceError(
+            f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
+            "integrator divergence (dt too large?)"
+        )
+    k1 = np.maximum(p1, 0.0)
+    k4 = np.maximum(p4, 0.0)
+    kp = np.maximum(lp, 0.0)
+    km = np.maximum(lm, 0.0)
+    clip = ((k1 - p1) + (k4 - p4)) + ((kp - lp) + (km - lm))
+    total = float(clip[flagged].sum())
+    tr = (k1 + k4) + (kp + km)
+    # the u2-u3 block keeps its eigenvectors: its Bloch part (d, y) scales
+    # by (l+ - l-) / (2 r); r = 0 only where the two eigenvalues coincide
+    scale = np.divide(kp - km, 2.0 * r, out=np.zeros_like(r), where=r > 0.0)
+    hc = 0.5 * (kp + km)
+    dc = scale * d
+    new_p = np.empty_like(p)
+    new_p[:, 0] = k1
+    new_p[:, 1] = hc + dc
+    new_p[:, 2] = hc - dc
+    new_p[:, 3] = k4
+    new_p /= tr[:, None]
+    p = np.where(flagged[:, None], new_p, p)
+    y = np.where(flagged, scale * y / tr, y)
+    return p, y, total, int(np.count_nonzero(flagged))
+
+
+def _trace_deviation(tr: np.ndarray) -> np.ndarray:
+    """|tr - 1| per lane; a lane whose trace is non-finite or off by more
+    than _TRACE_DRIFT raises DivergenceError."""
+    dev = np.abs(tr - 1.0)
+    within = dev <= _TRACE_DRIFT
+    if not within.all():
+        j = int(np.argmin(within))
+        raise DivergenceError(f"lane {j}: trace drifted to {tr[j]!r} (dt too large?)")
+    return dev
+
+
+def advance_class(
+    p: np.ndarray, y: np.ndarray, xi: np.ndarray, cfg: SimConfig, floor: float
+) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """One integrator step of class lanes: class_step, the trace check,
+    renormalization and class_repair.
+
+    Returns (p, y, sum of |tr - 1| over lanes, clipped magnitude, lanes
+    clipped).
+    """
+    p, y = class_step(p, y, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+    tr = ((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]
+    dev = _trace_deviation(tr)
+    p /= tr[:, None]
+    y /= tr
+    p, y, clipped, n_c = class_repair(p, y, floor)
+    return p, y, float(dev.sum()), clipped, n_c
+
+
+def _advance_full(
+    rho: np.ndarray, xi: np.ndarray, cfg: SimConfig, floor: float
+) -> tuple[np.ndarray, float, float, int]:
+    """advance_class for (n, 4, 4) states off the closed class."""
+    rho = hermitize(step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma))
+    tr = np.real(np.einsum("nii->n", rho))
+    dev = _trace_deviation(tr)
+    rho /= tr[:, None, None]
+    rho, clipped, n_c = clip_negative_eigenvalues(rho, floor)
+    return rho, float(dev.sum()), clipped, n_c
+
+
+def _in_closed_class(mat: np.ndarray) -> bool:
+    """Whether a Bell-basis matrix lies exactly on the closed class."""
+    return not np.any(mat[~_CLASS_PATTERN]) and mat[1, 2].real == 0.0
 
 
 def ito_step(rho: DensityMatrix, cfg: SimConfig, xi: float) -> DensityMatrix:
@@ -374,7 +512,8 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     would use. Records state, the instantaneous detector sample I(t_k) that
     drives the following step, the running time-averaged output, and the
     entanglement branch values every record_stride steps (the final step is
-    always recorded).
+    always recorded). An initial state exactly on the closed class runs on
+    the class kernel (advance_class), any other on the (n, 4, 4) kernel.
     """
     n_steps = cfg.n_steps
     rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
@@ -385,9 +524,16 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
 
-    rho = initial.mat[None, :, :].astype(np.complex128).copy()
+    on_class = _in_closed_class(initial.mat)
+    if on_class:
+        p = initial.diag[None, :]
+        y = np.array([initial.mat[1, 2].imag])
+        rec_p = np.empty((n_rec, 4))
+        rec_y = np.empty(n_rec)
+    else:
+        rho = initial.mat[None, :, :].astype(np.complex128)
+        states = np.empty((n_rec, 4, 4), dtype=np.complex128)
     times = np.asarray(rec_steps, dtype=float) * cfg.dt
-    states = np.empty((n_rec, 4, 4), dtype=np.complex128)
     currents = np.empty(n_rec)
     integrated = np.empty(n_rec)
 
@@ -403,31 +549,38 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
         if b_at >= block.size:
             block = rng.normal(0.0, sigma, _NOISE_BLOCK)
             b_at = 0
-        xi = block[b_at]
+        xi = block[b_at : b_at + 1]
         b_at += 1
-        mean_i = float(np.real(rho[0, 0, 0] + rho[0, 1, 1] - rho[0, 2, 2] - rho[0, 3, 3]))
-        current = mean_i + xi
+        pops = p[0] if on_class else rho[0].diagonal().real
+        current = float(pops[0] + pops[1] - pops[2] - pops[3]) + xi[0]
         if rec_steps[slot] == k:
-            states[slot] = rho[0]
+            if on_class:
+                rec_p[slot] = p[0]
+                rec_y[slot] = y[0]
+            else:
+                states[slot] = rho[0]
             currents[slot] = current
             integrated[slot] = isum / times[slot] if k else 0.0
             slot += 1
             if slot == n_rec:
                 break
         isum += current * cfg.dt
-        rho = step_batch(rho, np.array([xi]), cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
-        rho = hermitize(rho)
-        tr = float(np.real(rho[0, 0, 0] + rho[0, 1, 1] + rho[0, 2, 2] + rho[0, 3, 3]))
-        if not math.isfinite(tr) or abs(tr - 1.0) > 1e-6:
-            raise DivergenceError(
-                f"trace drifted to {tr!r} at step {k + 1} (dt too large?)"
-            )
-        corrections += abs(tr - 1.0)
-        rho /= tr
-        rho, clipped, n_c = clip_negative_eigenvalues(rho, floor)
+        try:
+            if on_class:
+                p, y, corr, clipped, n_c = advance_class(p, y, xi, cfg, floor)
+            else:
+                rho, corr, clipped, n_c = _advance_full(rho, xi, cfg, floor)
+        except DivergenceError as exc:
+            raise DivergenceError(f"step {k + 1}: {exc}") from None
+        corrections += corr
         clip_total += clipped
         n_clips += n_c
 
+    if on_class:
+        states = np.zeros((n_rec, 4, 4), dtype=np.complex128)
+        states.real[:, range(4), range(4)] = rec_p
+        states.imag[:, 1, 2] = rec_y
+        states.imag[:, 2, 1] = -rec_y
     lam1, lam2, lam3, lam, conc = _record_entanglement(states)
     return TrajectoryRecord(
         config=cfg,

@@ -260,6 +260,34 @@ def test_state_from_json_file(tmp_path):
     assert rows[0, 1] == pytest.approx(1.0)  # rho_11 of u1
 
 
+def test_trajectory_state_json_off_and_on_the_class(tmp_path):
+    """An off-class JSON state runs on the 4x4 path (lambda undefined, the
+    general concurrence finite); a class state runs on the class kernel and
+    its off-class columns are exactly zero."""
+    from paritysim.qstate import make_state, preset_state, state_to_json
+
+    mat = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
+    mat[0, 3] = mat[3, 0] = 0.2
+    cols = {}
+    for name, state in (("off", make_state(mat)), ("on", preset_state("sigma-boundary"))):
+        state_file = tmp_path / f"{name}.json"
+        state_file.write_text(state_to_json(state))
+        out = tmp_path / name
+        rc = main(["trajectory", "--duration", "0.05", "--state", str(state_file),
+                   "--out", str(out)])
+        assert rc == 0
+        path = out / "trajectory.csv"
+        header = path.read_text().splitlines()[0].split(",")
+        cols[name] = dict(zip(header, np.loadtxt(path, delimiter=",", skiprows=1).T))
+    off, on = cols["off"], cols["on"]
+    assert np.all(off["re_rho_14"] != 0.0)
+    assert np.all(np.isnan(off["lambda"]))
+    assert np.all(np.isfinite(off["concurrence"]))
+    for name in ("re_rho_14", "im_rho_14", "re_rho_23"):
+        assert np.all(on[name] == 0.0)
+    assert np.all(np.isfinite(on["lambda"]))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "paritysim", "predict",

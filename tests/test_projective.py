@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_closed_class_bell
 from paritysim.concurrence import wootters_concurrence
 from paritysim.projective import (
     Outcome,
@@ -17,6 +18,7 @@ from paritysim.projective import (
     monte_carlo_average,
     project_parity,
     projective_step,
+    rotate_class,
     rotation,
     run_projective,
     zeno_comparison_curve,
@@ -46,6 +48,18 @@ def test_rotation_swaps_u2_u3_at_half_turn():
     u = rotation(math.pi / 2.0)
     e = np.eye(4, dtype=complex)
     assert np.allclose(u @ e[1], -1j * e[2], atol=1e-15)
+
+
+def test_rotate_class_matches_rotation(rng):
+    """The closed-class pulse is the 4x4 conjugation by rotation()."""
+    mats = np.array([random_closed_class_bell(rng) for _ in range(32)])
+    p, y = np.real(np.einsum("nii->ni", mats)), np.imag(mats[:, 1, 2])
+    for delta in (0.3, math.pi / 30, 2.0):
+        u = rotation(delta)
+        full = np.einsum("ij,njk,lk->nil", u, mats, u.conj())
+        p_new, y_new = rotate_class(p, y, delta)
+        assert np.max(np.abs(np.real(np.einsum("nii->ni", full)) - p_new)) <= 1e-15
+        assert np.max(np.abs(full[:, 1, 2] - 1j * y_new)) <= 1e-15
 
 
 def test_project_parity_probabilities_sum_to_one():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import random_closed_class_bell, random_density_bell
 from paritysim import fpt, trajectory
 from paritysim.concurrence import lambda_branch_values
 from paritysim.qstate import DensityMatrix, make_state, preset_state
@@ -28,15 +29,16 @@ U1 = bell_diag(1, 0, 0, 0)
 U4 = bell_diag(0, 0, 0, 1)
 
 
-def batch_lambda(rho):
-    pops = np.real(np.einsum("nii->ni", rho))
-    l1, l2, l3 = lambda_branch_values(pops, np.imag(rho[:, 1, 2]))
+def batch_lambda(p, y):
+    l1, l2, l3 = lambda_branch_values(p, y)
     return np.maximum(np.maximum(l1, l2), l3)
 
 
 def run_batch(cfg, initial, n_runs, n_steps, seed, checkpoints=()):
-    """Small ensemble driver on the raw kernel with per-run noise streams."""
-    rho = np.broadcast_to(initial.mat, (n_runs, 4, 4)).astype(np.complex128).copy()
+    """Small ensemble driver on the closed-class kernel with per-run noise
+    streams; returns the final (p, y), the noise and {step: (p, y)}."""
+    p = np.tile(initial.diag, (n_runs, 1))
+    y = np.full(n_runs, initial.mat[1, 2].imag)
     sigma = math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt)
     rngs = [
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -48,16 +50,19 @@ def run_batch(cfg, initial, n_runs, n_steps, seed, checkpoints=()):
     grabbed = {}
     floor = trajectory.clip_floor(cfg)
     for k in range(n_steps):
-        rho = trajectory.step_batch(
-            rho, noise[:, k], cfg.dt, cfg.s0, cfg.delta, cfg.gamma
-        )
-        rho = trajectory.hermitize(rho)
-        tr = np.real(np.einsum("nii->n", rho))
-        rho /= tr[:, None, None]
-        rho, _, _ = trajectory.clip_negative_eigenvalues(rho, floor)
+        p, y, _, _, _ = trajectory.advance_class(p, y, noise[:, k], cfg, floor)
         if k + 1 in checkpoints:
-            grabbed[k + 1] = rho.copy()
-    return rho, noise, grabbed
+            grabbed[k + 1] = (p.copy(), y.copy())
+    return (p, y), noise, grabbed
+
+
+def class_matrices(p, y):
+    """(n, 4, 4) Bell-basis matrices of class lanes."""
+    rho = np.zeros((p.shape[0], 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = p
+    rho[:, 1, 2] = 1j * y
+    rho[:, 2, 1] = -1j * y
+    return rho
 
 
 # -------------------------------------------------------------- structure
@@ -167,21 +172,89 @@ def test_single_step_matches_bayes_posterior():
     assert errs[2] < errs[1] / 8.0
 
 
-def test_step_diagonal_agrees_with_step_batch(rng):
-    cfg = SimConfig(k_ratio=3.0, duration=0.1)
-    p = rng.dirichlet(np.ones(4), size=64)
-    xi = rng.normal(0.0, math.sqrt(cfg.s0 / cfg.dt), 64)
-    full = trajectory.step_batch(
-        np.einsum("ni,ij->nij", p, np.eye(4)).astype(complex),
-        xi,
-        cfg.dt,
-        cfg.s0,
-        0.0,
-        cfg.gamma,
+def class_test_states(rng):
+    """Random class states plus pure and boundary ones whose Euler step
+    overshoots the physical set."""
+    mats = [random_closed_class_bell(rng) for _ in range(48)]
+    for _ in range(16):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        w = rng.uniform(0.2, 1.0)           # weight of a pure u2-u3 block
+        q = rng.uniform(0.0, 1.0 - w)
+        mat = np.diag([q, 0.0, 0.0, 1.0 - w - q]).astype(complex)
+        mat[1, 1] = w * math.cos(theta) ** 2
+        mat[2, 2] = w * math.sin(theta) ** 2
+        mat[1, 2] = 1j * w * math.cos(theta) * math.sin(theta)
+        mat[2, 1] = -mat[1, 2]
+        mats.append(mat)
+    for _ in range(16):
+        p = rng.dirichlet(np.ones(4))
+        p[rng.integers(1, 3)] = 0.0         # empty u2 or u3, no coherence
+        mats.append(np.diag(p / p.sum()).astype(complex))
+    mats = np.array(mats)
+    return np.real(np.einsum("nii->ni", mats)), np.imag(mats[:, 1, 2]), mats
+
+
+def test_class_kernel_matches_4x4_path(rng):
+    """class step + class repair against step_batch -> hermitize ->
+    renormalize -> clip_negative_eigenvalues, with the drive and an
+    environment rate on, including lanes the 4x4 trigger repairs."""
+    g = np.zeros((4, 4))
+    g[1, 2] = g[2, 1] = 0.7
+    cfg = SimConfig(k_ratio=1.0, duration=1.0, gamma=g)
+    floor = trajectory.clip_floor(cfg)
+    p, y, mats = class_test_states(rng)
+    xi = rng.normal(0.0, math.sqrt(cfg.s0 / cfg.dt), p.shape[0])
+
+    rho = trajectory.hermitize(
+        trajectory.step_batch(mats, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
     )
-    fast = trajectory.step_diagonal(p, xi, cfg.dt, cfg.s0)
-    assert np.max(np.abs(np.real(np.einsum("nii->ni", full)) - fast)) < 1e-15
-    assert np.max(np.abs(fast.sum(axis=1) - 1.0)) < 1e-14
+    rho /= np.real(np.einsum("nii->n", rho))[:, None, None]
+    rho, total_4x4, n_4x4 = trajectory.clip_negative_eigenvalues(rho, floor)
+    p_new, y_new, _, total, n_c = trajectory.advance_class(p, y, xi, cfg, floor)
+
+    assert n_4x4 >= 16  # the boundary lanes are exercised
+    assert n_c == n_4x4
+    assert abs(total - total_4x4) <= 1e-14
+    assert np.max(np.abs(class_matrices(p_new, y_new) - rho)) <= 1e-14
+
+
+def test_class_subsystem_tracks_full_states(rng):
+    """From off-class full states, unclipped, the populations and Im rho_23
+    of the 4x4 update follow the class kernel: the subsystem is closed."""
+    cfg = SimConfig(k_ratio=1.0, duration=1.0)
+    rho = np.array([random_density_bell(rng) for _ in range(32)])
+    p = np.real(np.einsum("nii->ni", rho))
+    y = np.imag(rho[:, 1, 2])
+    for _ in range(50):
+        xi = rng.normal(0.0, math.sqrt(cfg.s0 / cfg.dt), rho.shape[0])
+        rho = trajectory.hermitize(
+            trajectory.step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
+        )
+        rho /= np.real(np.einsum("nii->n", rho))[:, None, None]
+        p, y = trajectory.class_step(p, y, xi, cfg.dt, cfg.s0, cfg.delta, 0.0)
+        tr = p.sum(axis=1)
+        p /= tr[:, None]
+        y /= tr
+    assert np.max(np.abs(np.real(np.einsum("nii->ni", rho)) - p)) <= 1e-14
+    assert np.max(np.abs(np.imag(rho[:, 1, 2]) - y)) <= 1e-14
+
+
+def test_class_path_positivity_is_exact():
+    """On the class path every recorded state is positive to rounding:
+    p1, p4 >= 0 and p2 p3 >= y^2 within 1e-15, for single runs and for
+    ensemble checkpoints."""
+
+    def margins(p, y):
+        return min(p[:, 0].min(), p[:, 3].min(), (p[:, 1] * p[:, 2] - y**2).min())
+
+    cfg = SimConfig(k_ratio=0.3, duration=3.0, seed=8)
+    rec = simulate(cfg, MIXED)
+    assert rec.n_clips > 0
+    pops = np.real(np.einsum("nii->ni", rec.states))
+    assert margins(pops, np.imag(rec.states[:, 1, 2])) >= -1e-15
+    checkpoints = set(range(1, cfg.n_steps + 1, 7))
+    _, _, grabbed = run_batch(cfg, MIXED, 64, cfg.n_steps, 8, checkpoints)
+    assert min(margins(p, y) for p, y in grabbed.values()) >= -1e-15
 
 
 def test_noise_calibration():
@@ -315,10 +388,11 @@ def test_parity_populations_martingale():
     sigma = math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(1,)))
     p = np.full((n_runs, 4), 0.25)
+    y = np.zeros(n_runs)
     checkpoints = {n_steps // 4, n_steps // 2, n_steps}
     for k in range(n_steps):
         xi = rng.normal(0.0, sigma, n_runs)
-        p = trajectory.step_diagonal(p, xi, cfg.dt, cfg.s0)
+        p, y = trajectory.class_step(p, y, xi, cfg.dt, cfg.s0, 0.0, 0.0)
         if k + 1 in checkpoints:
             p_odd = p[:, 2] + p[:, 3]
             se = p_odd.std(ddof=1) / math.sqrt(n_runs)
@@ -335,7 +409,7 @@ def test_step_size_convergence():
         cfg = SimConfig(k_ratio=1.0, duration=1.0, dt=1.0 / divider, seed=seed)
         checkpoints = {cfg.n_steps // 4, cfg.n_steps // 2, cfg.n_steps}
         _, _, grabbed = run_batch(cfg, MIXED, n_runs, cfg.n_steps, seed, checkpoints)
-        lam = {k * cfg.dt: batch_lambda(v) for k, v in grabbed.items()}
+        lam = {k * cfg.dt: batch_lambda(*v) for k, v in grabbed.items()}
         curves.append({t: v.mean() for t, v in lam.items()})
         ses.append({t: v.std(ddof=1) / math.sqrt(n_runs) for t, v in lam.items()})
     for t in curves[0]:
@@ -347,8 +421,8 @@ def test_asymptotic_entanglement_recovery():
     """Weak coupling, long runs: the ensemble ends almost maximally
     entangled."""
     cfg = SimConfig(k_ratio=0.3, duration=20.0, seed=55)
-    rho, _, _ = run_batch(cfg, MIXED, 200, cfg.n_steps, 55)
-    lam = batch_lambda(rho)
+    (p, y), _, _ = run_batch(cfg, MIXED, 200, cfg.n_steps, 55)
+    lam = batch_lambda(p, y)
     assert np.mean(np.maximum(lam, 0.0)) >= 0.9
 
 
@@ -367,7 +441,7 @@ def test_zeno_regime_fast_lambda_rise():
         rho = trajectory.step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
         rho = trajectory.hermitize(rho)
         rho /= np.real(np.einsum("nii->n", rho))[:, None, None]
-        lam = batch_lambda(rho)
+        lam = batch_lambda(np.real(np.einsum("nii->ni", rho)), np.imag(rho[:, 1, 2]))
         newly = (lam > -0.05) & ~np.isfinite(first)
         first[newly] = (k + 1) * cfg.dt
     assert np.median(first) < cfg.t_q / 10.0
@@ -386,6 +460,10 @@ def test_simconfig_validation():
     with pytest.raises(ValueError, match="symmetric"):
         g = np.zeros((4, 4))
         g[0, 1] = 0.5
+        SimConfig(k_ratio=1.0, duration=1.0, gamma=g)
+    with pytest.raises(ValueError, match="symmetric"):
+        g = np.zeros((4, 4))
+        g[1, 2], g[2, 1] = 1.0, 1.000009  # within np.allclose's default rtol
         SimConfig(k_ratio=1.0, duration=1.0, gamma=g)
     with pytest.raises(ValueError, match="diagonal"):
         SimConfig(k_ratio=1.0, duration=1.0, gamma=np.eye(4))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import lambda_branch_values
-from .fpt import DIFFUSION, CrossingPrediction, diagonal_state, predict
+from .fpt import CrossingPrediction, bridge_step, diagonal_state, drift_offset, predict
 from .qstate import DensityMatrix, DivergenceError
 from .trajectory import (
     _NOISE_BLOCK,
@@ -45,10 +45,8 @@ __all__ = [
 ]
 
 _CHUNK = 256      # fixed batching unit; --jobs maps chunks to processes
-_I = np.array([1.0, 1.0, -1.0, -1.0])
 _X_TOL = 1e-9
-_ESCAPE = 6.0     # log-likelihood distance at which a run is retired
-                  # as never-crossing (recovery probability e^{-2*6})
+_BLOCK = 128      # crossing-kernel steps between crossing decisions
 
 
 class EventKind(enum.Enum):
@@ -431,17 +429,25 @@ def genesis_histogram(stats: EnsembleStats, bin_width: float) -> GenesisHistogra
 def _crossing_chunk(args) -> dict:
     """Measurement-only first-crossing kernel for runs [lo, hi).
 
-    The conditioned state with the drive off is an exact function of the
+    With the drive off the conditioned state is an exact function of the
     integrated record, p_i(gamma) proportional to p_i(0) exp(I_i gamma),
-    so the kernel maintains populations through that map (positive at any
-    step size) while the record log-likelihood itself advances by the
-    Euler rule (mean current + noise) dt. A run crosses when the
-    log-likelihood reaches the finite threshold; a Brownian-bridge draw
-    between samples removes the discrete-monitoring barrier bias, with
-    bridge uniforms from a separate per-run stream. Runs are retired once
-    crossed or once _ESCAPE beyond the surviving side. After tau_bulk
+    so the mean current is tanh(gamma + c), c = ln(p_even / p_odd) / 2,
+    and the record log-likelihood advances by the Euler rule
+    (tanh(gamma + c) + noise) dt on one real per run. After tau_bulk
     (where essentially all crossing mass lies) the step coarsens 20x to
-    finish the window.
+    finish the window; a per-step dt array carries the two phases.
+
+    Open runs are stepped _BLOCK steps at a time with gamma recorded at
+    every step. fpt.bridge_step then decides the whole block at once: a
+    run crosses on reaching the threshold, or when a Brownian-bridge draw
+    between samples says it crossed (removing the discrete-monitoring
+    bias), and retires once crossed or fpt.ESCAPE beyond the surviving
+    side. Each run's first retiring step fixes its time; steps taken after
+    it within the block are discarded, and the open runs are compacted.
+    Every block draws its noise and bridge uniforms for the open runs
+    only, each run from its own two streams. A generator's output does not
+    depend on how its draws are split, so a run sees the same values at
+    every step whatever the block size or the other runs of the chunk.
     """
     seed, p0, lo, hi, thr, dt1, tau_bulk, tau_max = args
     n = hi - lo
@@ -450,53 +456,65 @@ def _crossing_chunk(args) -> dict:
     dt2 = 20.0 * dt1
     n2 = max(0, int(math.ceil((tau_max - n1 * dt1) / dt2)))
     dts = np.concatenate([np.full(n1, dt1), np.full(n2, dt2)])
+    n_steps = dts.size
+    dt_list = dts.tolist()
+    noise_scale = np.sqrt(1.0 / dts)
+    t_before = np.concatenate([[0.0], np.cumsum(dts)])   # t += dt, in order
+    c = drift_offset(p0[0] + p0[1], p0[2] + p0[3])
 
     noise_gens = _noise_generators(seed, lo, hi)
     bridge_gens = [
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)))
         for i in range(lo, hi)
     ]
-    p0 = np.asarray(p0, dtype=float)
     gam = np.zeros(n)
-    weights = np.tile(p0, (n, 1))
-    alive = np.arange(n)
+    alive = np.arange(n)       # open runs, as offsets into the chunk
     times = np.full(n, np.nan)
-    blk = ublk = None
-    t = 0.0
-    for k, dt in enumerate(dts):
+    for k0 in range(0, n_steps, _BLOCK):
         if alive.size == 0:
             break
-        col = k % _NOISE_BLOCK
-        if col == 0:
-            blk = np.empty((alive.size, _NOISE_BLOCK))
-            ublk = np.empty_like(blk)
-            for r, j in enumerate(alive):
-                blk[r] = noise_gens[j].standard_normal(_NOISE_BLOCK)
-                ublk[r] = bridge_gens[j].random(_NOISE_BLOCK)
-        xi = blk[:, col] * math.sqrt(1.0 / dt)
-        mean_i = (weights @ _I) / weights.sum(axis=1)
-        g_new = gam + (mean_i + xi) * dt
-        weights = p0[None, :] * np.exp(np.outer(g_new, _I))
-        a = side * (gam - thr)
-        b = side * (g_new - thr)
-        hit = b >= 0.0
-        pb = np.where(hit, 1.0, np.exp(np.minimum(-(a * b) / (DIFFUSION * dt), 0.0)))
-        bridged = ~hit & (ublk[:, col] < pb)
-        newly = hit | bridged
-        if newly.any():
-            frac = np.where(hit, (thr - gam) / np.where(hit, g_new - gam, 1.0), 0.5)
-            times[alive[newly]] = t + dt * frac[newly]
-        gam = g_new
-        retire = newly | (b < -_ESCAPE)
-        if retire.any():
-            keep = ~retire
-            alive = alive[keep]
-            weights = weights[keep]
-            gam = gam[keep]
-            blk = blk[keep]
-            ublk = ublk[keep]
-        t += dt
+        k1 = min(k0 + _BLOCK, n_steps)
+        xi = np.empty((k1 - k0, alive.size))
+        unif = np.empty_like(xi)
+        for r, j in enumerate(alive):
+            xi[:, r] = noise_gens[j].standard_normal(k1 - k0)
+            unif[:, r] = bridge_gens[j].random(k1 - k0)
+        xi *= noise_scale[k0:k1, None]
+        g = np.empty((k1 - k0 + 1, alive.size))
+        g[0] = gam
+        inc = np.empty(alive.size)
+        for i in range(k1 - k0):
+            np.add(g[i], c, out=inc)
+            np.tanh(inc, out=inc)
+            inc += xi[i]
+            inc *= dt_list[k0 + i]
+            np.add(g[i], inc, out=g[i + 1])
+        crossed, frac, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
+        done = retire.any(axis=0)
+        lanes = np.nonzero(done)[0]
+        first = retire[:, lanes].argmax(axis=0)
+        hit = crossed[first, lanes]
+        lanes, first = lanes[hit], first[hit]
+        k = k0 + first
+        times[alive[lanes]] = t_before[k] + dts[k] * frac[first, lanes]
+        alive, gam = alive[~done], g[-1, ~done]
     return {"times": times, "n_open": int(alive.size)}
+
+
+def _crossing_chunks(state, cfg: SimConfig, n_runs: int) -> list[tuple]:
+    """_crossing_chunk arguments covering runs [0, n_runs) of a state."""
+    ds = diagonal_state(np.asarray(state, dtype=float))
+    pred = predict(ds)
+    thr = pred.r2 if math.isfinite(pred.r2) else pred.r1
+    if not math.isfinite(thr):
+        raise ValueError("state has no finite crossing boundary to validate")
+    dt1 = cfg.dt / cfg.s0
+    tau_max = cfg.duration / cfg.s0
+    tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
+    return [
+        (cfg.seed, ds.p, lo, min(lo + _CHUNK, n_runs), thr, dt1, tau_bulk, tau_max)
+        for lo in range(0, n_runs, _CHUNK)
+    ]
 
 
 def first_crossing_times(
@@ -514,19 +532,7 @@ def first_crossing_times(
         raise ValueError("first-crossing analytics require delta = 0")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    ds = diagonal_state(np.asarray(state, dtype=float))
-    pred = predict(ds)
-    thr = pred.r2 if math.isfinite(pred.r2) else pred.r1
-    if not math.isfinite(thr):
-        raise ValueError("state has no finite crossing boundary to validate")
-    dt1 = cfg.dt / cfg.s0
-    tau_max = cfg.duration / cfg.s0
-    tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
-    chunks = [
-        (cfg.seed, ds.p, lo, min(lo + _CHUNK, n_runs), thr, dt1, tau_bulk, tau_max)
-        for lo in range(0, n_runs, _CHUNK)
-    ]
-    parts = _map_chunks(_crossing_chunk, chunks, jobs)
+    parts = _map_chunks(_crossing_chunk, _crossing_chunks(state, cfg, n_runs), jobs)
     times = np.concatenate([part["times"] for part in parts])
     n_open = sum(part["n_open"] for part in parts)
     return times, n_open

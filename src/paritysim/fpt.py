@@ -39,12 +39,16 @@ __all__ = [
     "border_geometry",
     "CrossingPrediction",
     "predict",
+    "drift_offset",
+    "bridge_step",
     "walk_crossing_times",
 ]
 
 CLASS_TOL = 1e-12
 DRIFT = 1.0       # |v| of the log-likelihood walk, tau units
 DIFFUSION = 0.5   # D of the log-likelihood walk, tau units
+ESCAPE = 6.0      # distance beyond the surviving side at which a walk is
+                  # retired as never-crossing (recovery probability e^{-2*6})
 
 _CURRENT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
@@ -342,6 +346,55 @@ def predict(state: DiagonalState) -> CrossingPrediction:
     return CrossingPrediction(r1, r2, entangled, p_cross, thr, (thr, DRIFT, DIFFUSION))
 
 
+def drift_offset(p_even: float, p_odd: float) -> float:
+    """Offset c of the mean current of the Bayes-updated state.
+
+    sum_i p_i I_i e^{I_i g} / sum_i p_i e^{I_i g} = tanh(g + c) with
+    c = ln(p_even / p_odd) / 2. A vanishing parity gives c = -+inf, for
+    which numpy's tanh returns the limiting current -+1 exactly.
+    """
+    if p_even < 0.0 or p_odd < 0.0 or p_even + p_odd <= 0.0:
+        raise ValueError(f"need nonnegative parity weights, not both 0: {p_even!r}, {p_odd!r}")
+    if p_odd == 0.0:
+        return math.inf
+    if p_even == 0.0:
+        return -math.inf
+    return 0.5 * math.log(p_even / p_odd)
+
+
+def bridge_step(g0, g1, thr: float, side: float, dt, u):
+    """Crossing decision for walk steps g0 -> g1 against the threshold thr.
+
+    side is the sign of the crossing direction: crossed means
+    side * (g - thr) >= 0. A step that ends at or beyond thr is a direct
+    hit, located by linear interpolation within the step. Otherwise the
+    Brownian bridge between the samples crossed with probability
+    exp(-a b / (D dt)), a and b the signed distances at either end; the
+    uniform u decides it, and the time is put mid-step. A walk that is not
+    crossed and ends ESCAPE beyond the surviving side retires as never
+    crossing. Elementwise over broadcastable arrays, so the same rule
+    serves one step of many walks or many steps of many walks.
+
+    Returns (crossed, frac, retire): the crossed mask, the crossing time
+    as a fraction of the step (meaningful where crossed), and the mask of
+    walks that leave (crossed or escaped).
+    """
+    d0 = g0 - thr
+    d1 = g1 - thr
+    b = side * d1
+    direct = b >= 0.0
+    # a b = d0 d1 exactly; -d0 d1 > 0 only on a step that straddles thr,
+    # which is direct anyway
+    crossed = direct | (u < np.exp(-(d0 * d1) / (DIFFUSION * dt)))
+    # d0 / (g0 - g1) is (thr - g0) / (g1 - g0) to the bit, in (0, 1] on a
+    # live direct hit since rounding is monotone; only lanes that are not
+    # direct can divide by zero, and those get 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(direct, d0 / (g0 - g1), 0.5)
+    retire = crossed | (b < -ESCAPE)
+    return crossed, frac, retire
+
+
 def walk_crossing_times(
     p_even: float,
     r2: float,
@@ -360,7 +413,8 @@ def walk_crossing_times(
     crossings are resolved exactly with the Brownian-bridge crossing
     probability exp(-(g0-r2)(g1-r2)/(D dtau)), so the crossing fraction is
     unbiased at any step size; crossing times carry only an O(dtau) bias.
-    Walkers far beyond recovery (drift away, distance > 15) retire early.
+    The decision is bridge_step's; walkers ESCAPE beyond the threshold on
+    the surviving side retire early.
 
     Returns (crossed mask, times); times are nan for non-crossers.
     Deterministic for fixed (seed, chunk): chunk c uses the stream derived
@@ -397,26 +451,12 @@ def walk_crossing_times(
             while t < t_end - 0.5 * dt and idx.size:
                 noise = rng.normal(0.0, sq, idx.size)
                 new = gam + v * dt + noise
-                a = side * (gam - r2)
-                b = side * (new - r2)
-                direct = b >= 0.0
-                # survivors have a < 0 and b < 0, so a*b > 0 and pb < 1;
-                # the direct entries are hits regardless of pb
-                pb = np.exp(-(a * b) / (DIFFUSION * dt))
-                hit = direct | (rng.random(idx.size) < pb)
+                hit, frac, retire = bridge_step(gam, new, r2, side, dt, rng.random(idx.size))
                 if hit.any():
-                    frac = np.where(
-                        direct[hit],
-                        np.clip((r2 - gam[hit]) / (new[hit] - gam[hit]), 0.0, 1.0),
-                        0.5,
-                    )
                     g = idx[hit]
                     crossed[lo + g] = True
-                    times[lo + g] = t + frac * dt
-                # a drift-away walker 6+ past the threshold recovers with
-                # probability < e^-12; retire it
-                escaped = (-b > 6.0) & ~hit
-                keep = ~(hit | escaped)
+                    times[lo + g] = t + frac[hit] * dt
+                keep = ~retire
                 gam, v, idx = new[keep], v[keep], idx[keep]
                 t += dt
             if not idx.size:

@@ -15,9 +15,12 @@ from paritysim.ensemble import (
     genesis_histogram,
     run_ensemble,
     validate_against_analytics,
+    _crossing_chunk,
+    _crossing_chunks,
 )
+from paritysim.fpt import DIFFUSION, ESCAPE, drift_offset
 from paritysim.qstate import preset_state, sanitize
-from paritysim.trajectory import SimConfig, simulate
+from paritysim.trajectory import _NOISE_BLOCK, SimConfig, simulate
 
 MIXED = preset_state("mixed")
 
@@ -283,6 +286,111 @@ def test_crossing_times_are_positive_and_bounded():
     assert np.all(crossed > 0.0)
     assert np.all(crossed <= 10.0)
     assert n_open <= 5
+
+
+def _stepped_crossings(args):
+    """Plain per-run, per-step transcription of the crossing kernel.
+
+    Populations through the Bayes map and the mean current as their
+    weighted average, noise and bridge uniforms in _NOISE_BLOCK draws from
+    each run's two streams, and the bridge rule written out. Returns the
+    times and each run's fate: (kind, step) with kind hit, bridge, escape
+    or open.
+    """
+    seed, p0, lo, hi, thr, dt1, tau_bulk, tau_max = args
+    side = math.copysign(1.0, thr)
+    n1 = max(1, math.ceil(tau_bulk / dt1))
+    n2 = max(0, math.ceil((tau_max - n1 * dt1) / (20.0 * dt1)))
+    dts = [dt1] * n1 + [20.0 * dt1] * n2
+    times, fates = [], []
+    for j in range(lo, hi):
+        noise = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        bridge = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
+        g, t, time_j, fate = 0.0, 0.0, math.nan, ("open", len(dts))
+        for k, dt in enumerate(dts):
+            if k % _NOISE_BLOCK == 0:
+                z, u = noise.standard_normal(_NOISE_BLOCK), bridge.random(_NOISE_BLOCK)
+            w = [p * math.exp(s * g) for p, s in zip(p0, (1.0, 1.0, -1.0, -1.0))]
+            mean = (w[0] + w[1] - w[2] - w[3]) / sum(w)
+            g_new = g + (mean + z[k % _NOISE_BLOCK] * math.sqrt(1.0 / dt)) * dt
+            a, b = side * (g - thr), side * (g_new - thr)
+            if b >= 0.0:
+                time_j, fate = t + dt * (thr - g) / (g_new - g), ("hit", k)
+                break
+            if u[k % _NOISE_BLOCK] < math.exp(-(a * b) / (DIFFUSION * dt)):
+                time_j, fate = t + 0.5 * dt, ("bridge", k)
+                break
+            if b < -ESCAPE:
+                fate = ("escape", k)
+                break
+            g, t = g_new, t + dt
+        times.append(time_j)
+        fates.append(fate)
+    return np.array(times), fates, n1
+
+
+_COVERS = {
+    # runs retired after the step coarsens 20x
+    "coarse": lambda fates, n1: sum(k >= n1 for _, k in fates) >= 5,
+    # runs still open past the first _NOISE_BLOCK steps
+    "noise_block": lambda fates, n1: sum(k >= _NOISE_BLOCK for _, k in fates) >= 3,
+    # runs retired by escape
+    "escape": lambda fates, n1: sum(f == "escape" for f, _ in fates) >= 30,
+    # a run still open at the window's end
+    "open": lambda fates, n1: any(f == "open" for f, _ in fates),
+}
+
+
+@pytest.mark.parametrize(
+    "state,dt,case",
+    [
+        ((0.10, 0.10, 0.28, 0.52), 1e-2, "coarse"),
+        ((0.26, 0.26, 0.22, 0.26), 2e-3, "noise_block"),
+        ((0.05, 0.05, 0.00, 0.90), 2e-3, "escape"),
+        ((0.35, 0.35, 0.05, 0.25), 1e-2, "open"),
+    ],
+)
+def test_crossing_chunk_matches_per_step_reference(state, dt, case):
+    cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=dt, seed=11)
+    args = _crossing_chunks(state, cfg, 64)[0]
+    ref_times, fates, n1 = _stepped_crossings(args)
+    assert _COVERS[case](fates, n1)
+    got = _crossing_chunk(args)
+    crossed = ~np.isnan(ref_times)
+    assert np.array_equal(~np.isnan(got["times"]), crossed)
+    assert got["n_open"] == sum(f == "open" for f, _ in fates)
+    assert np.max(np.abs(got["times"][crossed] - ref_times[crossed])) <= 1e-12
+
+
+def test_crossing_time_independent_of_chunk_lanes():
+    cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=2e-3, seed=11)
+    args = _crossing_chunks((0.26, 0.26, 0.22, 0.26), cfg, 256)[0]
+    full = _crossing_chunk(args)["times"]
+    for j in (0, 1, 77, 128, 255):
+        alone = _crossing_chunk(args[:2] + (j, j + 1) + args[4:])["times"]
+        assert np.array_equal(alone, full[j : j + 1], equal_nan=True), j
+
+
+def test_mean_current_is_tanh_of_shifted_gamma():
+    gammas = np.linspace(-12.0, 12.0, 481)
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
+    states = [
+        (0.25, 0.25, 0.49, 0.01),
+        (0.01, 0.01, 0.00, 0.98),
+        (0.49, 0.01, 0.25, 0.25),
+        (0.35, 0.35, 0.05, 0.25),
+        (0.10, 0.20, 0.30, 0.40),
+    ]
+    for p in map(np.array, states):
+        w = p[None, :] * np.exp(np.outer(gammas, signs))
+        weighted = (w @ signs) / w.sum(axis=1)
+        c = drift_offset(p[0] + p[1], p[2] + p[3])
+        assert np.max(np.abs(np.tanh(gammas + c) - weighted)) <= 1e-15, p
+    # a vanishing parity pins the current at -+1 exactly
+    assert np.all(np.tanh(gammas + drift_offset(0.0, 1.0)) == -1.0)
+    assert np.all(np.tanh(gammas + drift_offset(1.0, 0.0)) == 1.0)
+    with pytest.raises(ValueError):
+        drift_offset(0.0, 0.0)
 
 
 # ---------------------------------------------------------------- output

@@ -25,6 +25,13 @@ integrated as five real numbers per lane by class_step, with positivity
 tested and projected in closed form by class_repair; the (n, 4, 4) kernel
 step_batch with the polynomial trigger psd_violations and the eigh repair
 clip_negative_eigenvalues serves states off the class.
+
+Ensembles step class lanes in batches (advance_class). A single trajectory
+steps its one lane on Python floats (_lane_stepper), which makes the same
+float operations in the same order as advance_class at n = 1 and hands
+every lane near the positivity boundary to class_repair, so the two agree
+bit for bit. A change to the class step (a split-step integrator, say)
+must change both together.
 """
 
 from __future__ import annotations
@@ -42,8 +49,6 @@ __all__ = [
     "SimConfig",
     "TrajectoryRecord",
     "hamiltonian",
-    "sample_noise",
-    "ito_step",
     "simulate",
     "step_batch",
     "class_step",
@@ -71,6 +76,7 @@ _DEC8 = (_I[:, None] - _I[None, :]) ** 2 / 8.0
 # runtime-drift allowance, looser than the analytic class_tol
 _RECORD_CLASS_TOL = 1e-7
 _NOISE_BLOCK = 4096
+_CSV_BLOCK = 512
 _CLASS_PATTERN = np.eye(4, dtype=bool)
 _CLASS_PATTERN[1, 2] = _CLASS_PATTERN[2, 1] = True
 
@@ -95,7 +101,6 @@ class SimConfig:
     gamma: np.ndarray | None = field(default=None, repr=False)
     seed: int = 0
     record_stride: int = 1
-    epsilon_asymmetry: float = 0.0
 
     def __post_init__(self):
         if not self.delta >= 0:
@@ -104,8 +109,6 @@ class SimConfig:
             raise ValueError("k_ratio must be positive")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.epsilon_asymmetry != 0.0:
-            raise ValueError("asymmetric level splittings are not modeled")
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
         if not 0 <= int(self.seed) < 2**64:
@@ -156,13 +159,6 @@ def hamiltonian(delta: float) -> np.ndarray:
     h = np.zeros((4, 4))
     h[1, 2] = h[2, 1] = delta
     return h
-
-
-def sample_noise(rng: np.random.Generator, dt: float, s0: float) -> float:
-    """One detector-noise sample, zero mean, variance C_NOISE * s0 / dt."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return float(rng.normal(0.0, math.sqrt(C_NOISE * s0 / dt)))
 
 
 def hermitize(rho: np.ndarray) -> np.ndarray:
@@ -412,18 +408,66 @@ def _advance_full(
     return rho, float(dev.sum()), clipped, n_c
 
 
+# The lane prefilter passes a lane without class_repair only if p1 >= 0,
+# p4 >= 0, h >= 0 and h^2 - (d^2 + y^2) >= _LANE_MARGIN. Exactly, that
+# makes l- = (h^2 - r^2) / (h + r) >= _LANE_MARGIN / (2 h), and h <= 1/2 up
+# to the trace drift, so l- >= 1e-12. Rounding in the prefilter and in
+# class_repair's h - hypot(d, y) is a few ulp of h (< 1e-15), so
+# class_repair would find low >= 0 > -_CLASS_SLACK and not flag the lane.
+# The prefilter sends extra lanes, never fewer.
+_LANE_MARGIN = 1e-12
+
+
+def _lane_stepper(cfg: SimConfig, floor: float):
+    """advance_class for a single lane held as five Python floats.
+
+    Returns advance(lane, xi) -> (lane, |tr - 1|, clipped magnitude, lanes
+    clipped), with lane = (p1, p2, p3, p4, y). The float operations and
+    their order are class_step's and advance_class's. A bad trace raises
+    through _trace_deviation, and lanes the prefilter above cannot clear
+    go to class_repair, which alone decides and makes a repair.
+    """
+    per_xi = cfg.dt / cfg.s0
+    flow_c = 2.0 * cfg.delta * cfg.dt
+    feed_c = cfg.delta * cfg.dt
+    decay_c = float((0.5 / cfg.s0 + cfg.gamma[1, 2]) * cfg.dt)
+
+    def advance(lane, xi):
+        p1, p2, p3, p4, y = lane
+        m = (p1 + p2) - (p3 + p4)
+        a = xi * per_xi
+        even = 1.0 + a * (1.0 - m)
+        odd = 1.0 + a * (-1.0 - m)
+        flow = flow_c * y
+        y = y * (1.0 - m * a - decay_c) + feed_c * (p2 - p3)
+        p1 = p1 * even
+        p2 = p2 * even - flow
+        p3 = p3 * odd + flow
+        p4 = p4 * odd
+        tr = ((p1 + p2) + p3) + p4
+        dev = abs(tr - 1.0)
+        if not dev <= _TRACE_DRIFT:
+            _trace_deviation(np.array([tr]))
+        p1 /= tr
+        p2 /= tr
+        p3 /= tr
+        p4 /= tr
+        y /= tr
+        h = 0.5 * (p2 + p3)
+        d = 0.5 * (p2 - p3)
+        if p1 < 0.0 or p4 < 0.0 or h < 0.0 or h * h - (d * d + y * y) < _LANE_MARGIN:
+            p, ys, clipped, n_c = class_repair(
+                np.array([[p1, p2, p3, p4]]), np.array([y]), floor
+            )
+            return (*p[0].tolist(), float(ys[0])), dev, clipped, n_c
+        return (p1, p2, p3, p4, y), dev, 0.0, 0
+
+    return advance
+
+
 def _in_closed_class(mat: np.ndarray) -> bool:
     """Whether a Bell-basis matrix lies exactly on the closed class."""
     return not np.any(mat[~_CLASS_PATTERN]) and mat[1, 2].real == 0.0
-
-
-def ito_step(rho: DensityMatrix, cfg: SimConfig, xi: float) -> DensityMatrix:
-    """Single Euler-Maruyama update, sanitized."""
-    if not math.isfinite(xi):
-        raise ValueError("xi must be finite")
-    batch = rho.mat[None, :, :].astype(np.complex128)
-    new = step_batch(batch, np.array([float(xi)]), cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
-    return sanitize(new[0]).state
 
 
 @dataclass(frozen=True)
@@ -480,9 +524,17 @@ class TrajectoryRecord:
         )
         header = (
             "t,rho_11,rho_22,rho_33,rho_44,re_rho_23,im_rho_23,"
-            "re_rho_14,im_rho_14,current,integrated_output,lambda,concurrence"
+            "re_rho_14,im_rho_14,current,integrated_output,lambda,concurrence\n"
         )
-        np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=header, comments="")
+        # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, formatted
+        # from Python floats one block of rows at a time: a whole long record
+        # as lists and strings would cost several MB
+        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(header)
+            for at in range(0, len(cols), _CSV_BLOCK):
+                block = cols[at : at + _CSV_BLOCK].tolist()
+                fh.write("".join(row % tuple(r) for r in block))
 
 
 def _record_entanglement(states: np.ndarray):
@@ -512,8 +564,16 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     would use. Records state, the instantaneous detector sample I(t_k) that
     drives the following step, the running time-averaged output, and the
     entanglement branch values every record_stride steps (the final step is
-    always recorded). An initial state exactly on the closed class runs on
-    the class kernel (advance_class), any other on the (n, 4, 4) kernel.
+    always recorded).
+
+    An initial state exactly on the closed class runs on the one-lane class
+    kernel (_lane_stepper): five Python floats per step, bitwise equal to
+    advance_class at n = 1 with the same noise (tested against a batch of
+    one). Any other state runs on the (n, 4, 4) kernel. The two paths
+    differ only in the state update; the noise block, the record grid, the
+    running integral and the recording are shared. A new class step (the
+    planned split-step integrator) must change _lane_stepper and
+    class_step together.
     """
     n_steps = cfg.n_steps
     rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
@@ -523,53 +583,51 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
+    floor = clip_floor(cfg)
 
     on_class = _in_closed_class(initial.mat)
     if on_class:
-        p = initial.diag[None, :]
-        y = np.array([initial.mat[1, 2].imag])
-        rec_p = np.empty((n_rec, 4))
-        rec_y = np.empty(n_rec)
+        state = (*initial.diag.tolist(), float(initial.mat[1, 2].imag))
+        rec = np.empty((n_rec, 5))
+        advance = _lane_stepper(cfg, floor)
     else:
-        rho = initial.mat[None, :, :].astype(np.complex128)
-        states = np.empty((n_rec, 4, 4), dtype=np.complex128)
+        state = initial.mat[None, :, :].astype(np.complex128)
+        rec = np.empty((n_rec, 4, 4), dtype=np.complex128)
+
+        def advance(rho, xi):
+            return _advance_full(rho, np.array([xi]), cfg, floor)
+
     times = np.asarray(rec_steps, dtype=float) * cfg.dt
+    rec_times = times.tolist()
     currents = np.empty(n_rec)
     integrated = np.empty(n_rec)
 
+    dt = cfg.dt
     isum = 0.0            # int I dt at full step resolution
     corrections = 0.0
     clip_total = 0.0
     n_clips = 0
-    floor = clip_floor(cfg)
     slot = 0
-    block = np.empty(0)
+    block = []
     b_at = 0
     for k in range(n_steps + 1):
-        if b_at >= block.size:
-            block = rng.normal(0.0, sigma, _NOISE_BLOCK)
+        if b_at == len(block):
+            block = rng.normal(0.0, sigma, _NOISE_BLOCK).tolist()
             b_at = 0
-        xi = block[b_at : b_at + 1]
+        xi = block[b_at]
         b_at += 1
-        pops = p[0] if on_class else rho[0].diagonal().real
-        current = float(pops[0] + pops[1] - pops[2] - pops[3]) + xi[0]
+        pops = state if on_class else state[0].diagonal().real
+        current = float(pops[0] + pops[1] - pops[2] - pops[3]) + xi
         if rec_steps[slot] == k:
-            if on_class:
-                rec_p[slot] = p[0]
-                rec_y[slot] = y[0]
-            else:
-                states[slot] = rho[0]
+            rec[slot] = state
             currents[slot] = current
-            integrated[slot] = isum / times[slot] if k else 0.0
+            integrated[slot] = isum / rec_times[slot] if k else 0.0
             slot += 1
             if slot == n_rec:
                 break
-        isum += current * cfg.dt
+        isum += current * dt
         try:
-            if on_class:
-                p, y, corr, clipped, n_c = advance_class(p, y, xi, cfg, floor)
-            else:
-                rho, corr, clipped, n_c = _advance_full(rho, xi, cfg, floor)
+            state, corr, clipped, n_c = advance(state, xi)
         except DivergenceError as exc:
             raise DivergenceError(f"step {k + 1}: {exc}") from None
         corrections += corr
@@ -578,9 +636,11 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
 
     if on_class:
         states = np.zeros((n_rec, 4, 4), dtype=np.complex128)
-        states.real[:, range(4), range(4)] = rec_p
-        states.imag[:, 1, 2] = rec_y
-        states.imag[:, 2, 1] = -rec_y
+        states.real[:, range(4), range(4)] = rec[:, :4]
+        states.imag[:, 1, 2] = rec[:, 4]
+        states.imag[:, 2, 1] = -rec[:, 4]
+    else:
+        states = rec
     lam1, lam2, lam3, lam, conc = _record_entanglement(states)
     return TrajectoryRecord(
         config=cfg,

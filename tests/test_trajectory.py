@@ -8,6 +8,7 @@ invariants use the vectorized kernel directly to keep runtimes small.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from scipy.linalg import expm
 
 from conftest import random_closed_class_bell, random_density_bell
 from paritysim import fpt, trajectory
+from paritysim.cli import main
 from paritysim.concurrence import lambda_branch_values
-from paritysim.qstate import DensityMatrix, make_state, preset_state
-from paritysim.trajectory import SimConfig, hamiltonian, ito_step, sample_noise, simulate
+from paritysim.qstate import DensityMatrix, DivergenceError, make_state, preset_state
+from paritysim.trajectory import SimConfig, hamiltonian, simulate
 
 
 def bell_diag(p1, p2, p3, p4):
@@ -36,7 +38,8 @@ def batch_lambda(p, y):
 
 def run_batch(cfg, initial, n_runs, n_steps, seed, checkpoints=()):
     """Small ensemble driver on the closed-class kernel with per-run noise
-    streams; returns the final (p, y), the noise and {step: (p, y)}."""
+    streams; returns the final (p, y), the summed (trace corrections,
+    clipped magnitude, lanes clipped) and {step: (p, y)}."""
     p = np.tile(initial.diag, (n_runs, 1))
     y = np.full(n_runs, initial.mat[1, 2].imag)
     sigma = math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt)
@@ -49,11 +52,16 @@ def run_batch(cfg, initial, n_runs, n_steps, seed, checkpoints=()):
         noise[i] = rng.normal(0.0, sigma, n_steps)
     grabbed = {}
     floor = trajectory.clip_floor(cfg)
+    corrections = clip_total = 0.0
+    n_clips = 0
     for k in range(n_steps):
-        p, y, _, _, _ = trajectory.advance_class(p, y, noise[:, k], cfg, floor)
+        p, y, corr, clipped, n_c = trajectory.advance_class(p, y, noise[:, k], cfg, floor)
+        corrections += corr
+        clip_total += clipped
+        n_clips += n_c
         if k + 1 in checkpoints:
             grabbed[k + 1] = (p.copy(), y.copy())
-    return (p, y), noise, grabbed
+    return (p, y), (corrections, clip_total, n_clips), grabbed
 
 
 def class_matrices(p, y):
@@ -122,10 +130,21 @@ def test_step_batch_hamiltonian_term_tracks_expm():
 
 
 def test_u1_projector_is_exact_fixed_point():
+    """Any noise leaves the U1 projector exactly in place, on the 4x4
+    kernel, on the class kernel and along a simulated run."""
     cfg = SimConfig(k_ratio=2.0, duration=0.1)
+    floor = trajectory.clip_floor(cfg)
     for xi in (-3.7, 0.0, 12.0):
-        out = ito_step(U1, cfg, xi)
-        assert np.array_equal(out.mat, U1.mat)
+        out = trajectory.step_batch(
+            U1.mat[None].astype(complex), np.array([xi]), cfg.dt, cfg.s0, cfg.delta, cfg.gamma
+        )
+        assert np.array_equal(out[0], U1.mat)
+        p, y, _, _, n_c = trajectory.advance_class(
+            U1.diag[None], np.zeros(1), np.array([xi]), cfg, floor
+        )
+        assert np.array_equal(p[0], U1.diag) and y[0] == 0.0 and n_c == 0
+    rec = simulate(cfg, U1)
+    assert np.all(rec.states == U1.mat)
 
 
 def test_diagonal_state_fixed_under_zero_noise():
@@ -257,6 +276,38 @@ def test_class_path_positivity_is_exact():
     assert min(margins(p, y) for p, y in grabbed.values()) >= -1e-15
 
 
+def test_simulate_lane_equals_batch_of_one():
+    """simulate's one-lane class kernel is bitwise advance_class at n = 1:
+    recorded states, currents and the health totals, over the regimes, an
+    environment rate, a record stride and a start with y != 0."""
+    g = np.zeros((4, 4))
+    g[1, 2] = g[2, 1] = 0.7
+    cases = [
+        (SimConfig(k_ratio=0.3, duration=3.0, seed=8), MIXED),
+        (SimConfig(k_ratio=1.0, duration=1.0, seed=3), MIXED),
+        (SimConfig(k_ratio=30.0, duration=0.5, seed=5), MIXED),
+        (SimConfig(k_ratio=1.0, duration=1.0, seed=4, gamma=g), MIXED),
+        (SimConfig(k_ratio=2.0, duration=1.0, seed=6, record_stride=7), MIXED),
+        (SimConfig(k_ratio=1.0, duration=1.0, seed=2), preset_state("sigma-boundary")),
+    ]
+    assert preset_state("sigma-boundary").mat[1, 2].imag != 0.0
+    repairs = 0
+    for cfg, initial in cases:
+        rec = simulate(cfg, initial)
+        steps = np.round(rec.times / cfg.dt).astype(int)
+        _, totals, grabbed = run_batch(cfg, initial, 1, cfg.n_steps, cfg.seed, set(steps))
+        p = np.array([initial.diag] + [grabbed[k][0][0] for k in steps[1:]])
+        y = np.array([initial.mat[1, 2].imag] + [grabbed[k][1][0] for k in steps[1:]])
+        assert np.array_equal(rec.states, class_matrices(p, y))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+        xi = rng.normal(0.0, math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt), cfg.n_steps + 1)
+        mean_i = ((p[:, 0] + p[:, 1]) - p[:, 2]) - p[:, 3]
+        assert np.array_equal(rec.currents, mean_i + xi[steps])
+        assert (rec.trace_correction_total, rec.clip_total, rec.n_clips) == totals
+        repairs += rec.n_clips
+    assert repairs > 0
+
+
 def test_noise_calibration():
     """The pinned (coefficient, variance) pair: integrated record of a
     frozen even-parity state is Gaussian with mean t/T_M and variance
@@ -276,15 +327,18 @@ def test_noise_calibration():
     assert abs(gammas.var(ddof=1) - tau) < 4.0 * se_var
 
 
-def test_sample_noise_distribution():
-    rng = np.random.default_rng(7)
-    cfg = SimConfig(k_ratio=1.0, duration=1.0)
-    draws = np.array([sample_noise(rng, cfg.dt, cfg.s0) for _ in range(20000)])
+def test_simulate_noise_distribution():
+    """From the stationary U1 state the recorded currents minus 1 are the
+    noise draws: the SeedSequence(seed, spawn_key=(0,)) stream, with zero
+    mean and variance C_NOISE S0 / dt."""
+    cfg = SimConfig(k_ratio=1.0, duration=100.0, seed=7)
+    draws = simulate(cfg, U1).currents - 1.0
+    assert draws.size == cfg.n_steps + 1 == 20001
     var = trajectory.C_NOISE * cfg.s0 / cfg.dt
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
+    assert np.max(np.abs(draws - rng.normal(0.0, math.sqrt(var), draws.size))) < 1e-12
     assert abs(draws.mean()) < 4.0 * math.sqrt(var / draws.size)
     assert abs(draws.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / draws.size)
-    with pytest.raises(ValueError):
-        sample_noise(rng, 0.0, 1.0)
 
 
 def test_trajectory_posterior_tracks_record_bayes_filter():
@@ -453,6 +507,8 @@ def test_zeno_regime_fast_lambda_rise():
 def test_simconfig_validation():
     with pytest.raises(ValueError, match="dt"):
         SimConfig(k_ratio=1.0, duration=1.0, dt=0.02)  # above min/100 cap
+    with pytest.raises(ValueError, match="dt"):
+        SimConfig(k_ratio=1.0, duration=1.0, dt=0.0)
     with pytest.raises(ValueError, match="delta"):
         SimConfig(delta=-1.0, duration=1.0)
     with pytest.raises(ValueError, match="duration"):
@@ -467,8 +523,6 @@ def test_simconfig_validation():
         SimConfig(k_ratio=1.0, duration=1.0, gamma=g)
     with pytest.raises(ValueError, match="diagonal"):
         SimConfig(k_ratio=1.0, duration=1.0, gamma=np.eye(4))
-    with pytest.raises(ValueError, match="asymmetric"):
-        SimConfig(k_ratio=1.0, duration=1.0, epsilon_asymmetry=0.1)
     with pytest.raises(ValueError, match="stride"):
         SimConfig(k_ratio=1.0, duration=1.0, record_stride=0)
     cfg = SimConfig(k_ratio=4.0, duration=1.0)
@@ -497,10 +551,22 @@ def test_environment_gamma_decays_coherence():
     assert rho[0, 1, 2].imag == pytest.approx(expect, rel=5e-3)
 
 
-def test_ito_step_rejects_nonfinite_noise():
-    cfg = SimConfig(k_ratio=1.0, duration=1.0)
-    with pytest.raises(ValueError, match="finite"):
-        ito_step(MIXED, cfg, math.inf)
+def test_divergence_names_step_and_clip_floor(tmp_path, monkeypatch, capsys):
+    """With a vanishing clip floor the first repair is a divergence: on the
+    lane path and on the 4x4 path simulate raises with the step and the
+    floor named, and the trajectory command exits 3."""
+    monkeypatch.setattr(trajectory, "clip_floor", lambda cfg: 1e-300)
+    cfg = SimConfig(k_ratio=0.3, duration=3.0, seed=8)
+    off_class = MIXED.mat.copy()
+    off_class[0, 3] = off_class[3, 0] = 0.01
+    for initial in (MIXED, make_state(off_class, "bell")):
+        with pytest.raises(DivergenceError) as exc:
+            simulate(cfg, initial)
+        assert re.match(r"step \d+: eigenvalue .* below the clip floor -1e-300", str(exc.value))
+    rc = main(["trajectory", "--k", "0.3", "--duration", "3", "--seed", "8",
+               "--out", str(tmp_path / "d")])
+    assert rc == 3
+    assert "clip floor" in capsys.readouterr().err
 
 
 def test_psd_violations_flags_bad_matrices():
@@ -528,6 +594,29 @@ def test_csv_serialization(tmp_path):
     assert np.array_equal(data[:, 9], rec.currents)
     rec.to_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_csv_bytes_match_savetxt(tmp_path):
+    """to_csv writes the bytes of np.savetxt with %.17g, for a class record
+    and for an off-class one whose lambda column is nan."""
+    off_class = MIXED.mat.copy()
+    off_class[0, 3] = off_class[3, 0] = 0.01
+    cfg = SimConfig(k_ratio=1.0, duration=0.2, seed=4)
+    for initial in (MIXED, make_state(off_class, "bell")):
+        rec = simulate(cfg, initial)
+        s = rec.states
+        cols = np.column_stack(
+            [rec.times, *(s[:, i, i].real for i in range(4)), s[:, 1, 2].real,
+             s[:, 1, 2].imag, s[:, 0, 3].real, s[:, 0, 3].imag, rec.currents,
+             rec.integrated_output, rec.lam, rec.concurrence]
+        )
+        header = ("t,rho_11,rho_22,rho_33,rho_44,re_rho_23,im_rho_23,"
+                  "re_rho_14,im_rho_14,current,integrated_output,lambda,concurrence")
+        np.savetxt(tmp_path / "ref.csv", cols, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        rec.to_csv(tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert np.all(np.isnan(rec.lam))
 
 
 def test_state_at_returns_valid_density_matrix():

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import lambda_branch_values
-from .fpt import CrossingPrediction, bridge_step, diagonal_state, drift_offset, predict
+from .fpt import (
+    CrossingPrediction,
+    diagonal_state,
+    drift_offset,
+    predict,
+    walk_dts,
+    walk_first_passage,
+)
 from .qstate import DensityMatrix, DivergenceError
 from .trajectory import (
     _NOISE_BLOCK,
@@ -46,7 +53,6 @@ __all__ = [
 
 _CHUNK = 256      # fixed batching unit; --jobs maps chunks to processes
 _X_TOL = 1e-9
-_BLOCK = 128      # crossing-kernel steps between crossing decisions
 
 
 class EventKind(enum.Enum):
@@ -433,72 +439,33 @@ def _crossing_chunk(args) -> dict:
     integrated record, p_i(gamma) proportional to p_i(0) exp(I_i gamma),
     so the mean current is tanh(gamma + c), c = ln(p_even / p_odd) / 2,
     and the record log-likelihood advances by the Euler rule
-    (tanh(gamma + c) + noise) dt on one real per run. After tau_bulk
-    (where essentially all crossing mass lies) the step coarsens 20x to
-    finish the window; a per-step dt array carries the two phases.
+    (tanh(gamma + c) + noise) dt on one real per run. fpt.walk_first_passage
+    steps the runs in blocks over the fine-then-coarse steps of
+    fpt.walk_dts and resolves each crossing with fpt.bridge_step.
 
-    Open runs are stepped _BLOCK steps at a time with gamma recorded at
-    every step. fpt.bridge_step then decides the whole block at once: a
-    run crosses on reaching the threshold, or when a Brownian-bridge draw
-    between samples says it crossed (removing the discrete-monitoring
-    bias), and retires once crossed or fpt.ESCAPE beyond the surviving
-    side. Each run's first retiring step fixes its time; steps taken after
-    it within the block are discarded, and the open runs are compacted.
     Every block draws its noise and bridge uniforms for the open runs
     only, each run from its own two streams. A generator's output does not
     depend on how its draws are split, so a run sees the same values at
     every step whatever the block size or the other runs of the chunk.
     """
-    seed, p0, lo, hi, thr, dt1, tau_bulk, tau_max = args
-    n = hi - lo
-    side = math.copysign(1.0, thr)
-    n1 = max(1, int(math.ceil(tau_bulk / dt1)))
-    dt2 = 20.0 * dt1
-    n2 = max(0, int(math.ceil((tau_max - n1 * dt1) / dt2)))
-    dts = np.concatenate([np.full(n1, dt1), np.full(n2, dt2)])
-    n_steps = dts.size
-    dt_list = dts.tolist()
-    noise_scale = np.sqrt(1.0 / dts)
-    t_before = np.concatenate([[0.0], np.cumsum(dts)])   # t += dt, in order
-    c = drift_offset(p0[0] + p0[1], p0[2] + p0[3])
-
+    seed, p0, lo, hi, thr, dt1, tau_max = args
     noise_gens = _noise_generators(seed, lo, hi)
     bridge_gens = [
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)))
         for i in range(lo, hi)
     ]
-    gam = np.zeros(n)
-    alive = np.arange(n)       # open runs, as offsets into the chunk
-    times = np.full(n, np.nan)
-    for k0 in range(0, n_steps, _BLOCK):
-        if alive.size == 0:
-            break
-        k1 = min(k0 + _BLOCK, n_steps)
+
+    def draw(k0, k1, alive):
         xi = np.empty((k1 - k0, alive.size))
         unif = np.empty_like(xi)
         for r, j in enumerate(alive):
             xi[:, r] = noise_gens[j].standard_normal(k1 - k0)
             unif[:, r] = bridge_gens[j].random(k1 - k0)
-        xi *= noise_scale[k0:k1, None]
-        g = np.empty((k1 - k0 + 1, alive.size))
-        g[0] = gam
-        inc = np.empty(alive.size)
-        for i in range(k1 - k0):
-            np.add(g[i], c, out=inc)
-            np.tanh(inc, out=inc)
-            inc += xi[i]
-            inc *= dt_list[k0 + i]
-            np.add(g[i], inc, out=g[i + 1])
-        crossed, frac, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
-        done = retire.any(axis=0)
-        lanes = np.nonzero(done)[0]
-        first = retire[:, lanes].argmax(axis=0)
-        hit = crossed[first, lanes]
-        lanes, first = lanes[hit], first[hit]
-        k = k0 + first
-        times[alive[lanes]] = t_before[k] + dts[k] * frac[first, lanes]
-        alive, gam = alive[~done], g[-1, ~done]
-    return {"times": times, "n_open": int(alive.size)}
+        return xi, unif
+
+    c = np.full(hi - lo, drift_offset(p0[0] + p0[1], p0[2] + p0[3]))
+    times, n_open = walk_first_passage(c, thr, walk_dts(thr, dt1, tau_max), draw)
+    return {"times": times, "n_open": n_open}
 
 
 def _crossing_chunks(state, cfg: SimConfig, n_runs: int) -> list[tuple]:
@@ -510,9 +477,8 @@ def _crossing_chunks(state, cfg: SimConfig, n_runs: int) -> list[tuple]:
         raise ValueError("state has no finite crossing boundary to validate")
     dt1 = cfg.dt / cfg.s0
     tau_max = cfg.duration / cfg.s0
-    tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
     return [
-        (cfg.seed, ds.p, lo, min(lo + _CHUNK, n_runs), thr, dt1, tau_bulk, tau_max)
+        (cfg.seed, ds.p, lo, min(lo + _CHUNK, n_runs), thr, dt1, tau_max)
         for lo in range(0, n_runs, _CHUNK)
     ]
 

@@ -41,6 +41,8 @@ __all__ = [
     "predict",
     "drift_offset",
     "bridge_step",
+    "walk_dts",
+    "walk_first_passage",
     "walk_crossing_times",
 ]
 
@@ -49,6 +51,10 @@ DRIFT = 1.0       # |v| of the log-likelihood walk, tau units
 DIFFUSION = 0.5   # D of the log-likelihood walk, tau units
 ESCAPE = 6.0      # distance beyond the surviving side at which a walk is
                   # retired as never-crossing (recovery probability e^{-2*6})
+_FIRST_BLOCK = 16     # walk steps between the first crossing decisions,
+_BLOCK = 128          # doubling up to this many
+_WALK_CHUNK = 16384   # oracle walkers per stream
+_WALK_TAIL = 24.0     # oracle window beyond the bulk, tau units
 
 _CURRENT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
@@ -395,70 +401,120 @@ def bridge_step(g0, g1, thr: float, side: float, dt, u):
     return crossed, frac, retire
 
 
+def _tau_bulk(thr: float) -> float:
+    """Span holding essentially all of the conditional crossing-time mass
+    of a walk against thr (mean |thr|, variance |thr|), tau units."""
+    return abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0
+
+
+def walk_dts(thr: float, dt1: float, tau_max: float) -> np.ndarray:
+    """Per-step dt of a walk window [0, tau_max] against the threshold thr.
+
+    Fine steps dt1 through the bulk of the conditional-time distribution,
+    then 20x coarser through the straggler tail. The bridge rule keeps the
+    crossing fraction unbiased at any step size, so coarsening only touches
+    the time resolution of the few late crossers.
+    """
+    n1 = max(1, int(math.ceil(min(_tau_bulk(thr), tau_max) / dt1)))
+    dt2 = 20.0 * dt1
+    n2 = max(0, int(math.ceil((tau_max - n1 * dt1) / dt2)))
+    return np.concatenate([np.full(n1, dt1), np.full(n2, dt2)])
+
+
+def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
+    """First passage across thr of walks dg = (tanh(g + c) + xi/sqrt(dt)) dt
+    from g = 0, one per entry of c, with the per-step dt of dts.
+
+    c = +-inf gives the constant drift +-1 exactly, since numpy's
+    tanh(+-inf) is +-1. Open walks are stepped a block of steps at a time
+    with g recorded at every step; bridge_step then decides the whole block
+    at once. Each walk's first retiring step fixes its time; steps taken after
+    it within the block are discarded, and the open walks are compacted.
+
+    draw(k0, k1, alive) supplies the standard normals xi and the bridge
+    uniforms of steps [k0, k1) for the open walks, as two
+    (k1 - k0, alive.size) arrays; alive holds their indices into c.
+
+    Returns (times, n_open): crossing times (nan where a walk escaped or
+    stayed open) and the count of walks still open at the window end.
+    """
+    side = math.copysign(1.0, thr)
+    n_steps = dts.size
+    dt_list = dts.tolist()
+    noise_scale = np.sqrt(1.0 / dts)
+    t_before = np.concatenate([[0.0], np.cumsum(dts)])   # t += dt, in order
+    gam = np.zeros(c.size)
+    alive = np.arange(c.size)
+    times = np.full(c.size, np.nan)
+    k0 = 0
+    while k0 < n_steps and alive.size:
+        # short first blocks, so that the many walks retiring within the
+        # first steps do not each pay for a full block of steps
+        k1 = min(k0 + min(max(k0, _FIRST_BLOCK), _BLOCK), n_steps)
+        xi, unif = draw(k0, k1, alive)
+        xi *= noise_scale[k0:k1, None]
+        g = np.empty((k1 - k0 + 1, alive.size))
+        g[0] = gam
+        inc = np.empty(alive.size)
+        for i in range(k1 - k0):
+            np.add(g[i], c, out=inc)
+            np.tanh(inc, out=inc)
+            inc += xi[i]
+            inc *= dt_list[k0 + i]
+            np.add(g[i], inc, out=g[i + 1])
+        crossed, frac, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
+        done = retire.any(axis=0)
+        lanes = np.nonzero(done)[0]
+        first = retire[:, lanes].argmax(axis=0)
+        hit = crossed[first, lanes]
+        lanes, first = lanes[hit], first[hit]
+        k = k0 + first
+        times[alive[lanes]] = t_before[k] + dts[k] * frac[first, lanes]
+        keep = ~done
+        alive, gam, c = alive[keep], g[-1, keep], c[keep]
+        k0 = k1
+    return times, int(alive.size)
+
+
 def walk_crossing_times(
     p_even: float,
     r2: float,
     n_walkers: int,
     *,
     dt_tau: float = 1e-3,
-    t_max_tau: float | None = None,
     seed: int = 0,
-    chunk: int = 16384,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Direct Monte Carlo of the log-likelihood walk, the oracle behind the
     closed forms.
 
     Each walker draws a parity (even with probability p_even), then runs
-    dgamma = v dtau + sqrt(2 D dtau) N(0,1) until absorbed at r2. Sub-step
-    crossings are resolved exactly with the Brownian-bridge crossing
-    probability exp(-(g0-r2)(g1-r2)/(D dtau)), so the crossing fraction is
-    unbiased at any step size; crossing times carry only an O(dtau) bias.
-    The decision is bridge_step's; walkers ESCAPE beyond the threshold on
-    the surviving side retire early.
+    dgamma = v dtau + sqrt(2 D dtau) N(0,1) until absorbed at r2: walks of
+    walk_first_passage at c = +inf (even) or -inf (odd), over
+    walk_dts(r2, dt_tau, tau_bulk + 24). Sub-step crossings are resolved
+    exactly with the Brownian-bridge crossing probability
+    exp(-(g0-r2)(g1-r2)/(D dtau)), so the crossing fraction is unbiased at
+    any step size; crossing times carry only an O(dtau) bias. Walkers
+    ESCAPE beyond the threshold on the surviving side retire early.
 
     Returns (crossed mask, times); times are nan for non-crossers.
-    Deterministic for fixed (seed, chunk): chunk c uses the stream derived
-    from SeedSequence(seed, spawn_key=(c,)).
+    Deterministic in seed: walkers come in chunks of _WALK_CHUNK, and chunk
+    c draws its parities, then every block's normals and uniforms, from the
+    one stream derived from SeedSequence(seed, spawn_key=(c,)).
     """
     if not 0.0 <= p_even <= 1.0:
         raise ValueError("p_even must be in [0, 1]")
     if not math.isfinite(r2) or r2 == 0.0:
         raise ValueError("walk oracle needs a finite nonzero threshold")
-    # Fine steps through the bulk of the conditional-time distribution, then
-    # 20x coarser through the straggler tail. The bridge rule keeps the
-    # crossing fraction unbiased at any step size, so coarsening only touches
-    # the time resolution of the few late crossers.
-    t_bulk = abs(r2) + 6.0 * math.sqrt(abs(r2)) + 2.0
-    if t_max_tau is None:
-        t_max_tau = t_bulk + 24.0
-    phases = [(dt_tau, t_bulk)]
-    if t_max_tau > t_bulk:
-        phases.append((20.0 * dt_tau, t_max_tau))
-    side = -1.0 if r2 < 0 else 1.0   # crossing means side*(gamma - r2) >= 0
-    crossed = np.zeros(n_walkers, dtype=bool)
+    dts = walk_dts(r2, dt_tau, _tau_bulk(r2) + _WALK_TAIL)
     times = np.full(n_walkers, np.nan)
+    for ci, lo in enumerate(range(0, n_walkers, _WALK_CHUNK)):
+        hi = min(lo + _WALK_CHUNK, n_walkers)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+        c = np.where(rng.random(hi - lo) < p_even, math.inf, -math.inf)
 
-    for c, lo in enumerate(range(0, n_walkers, chunk)):
-        hi = min(lo + chunk, n_walkers)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        size = hi - lo
-        v = np.where(rng.random(size) < p_even, DRIFT, -DRIFT)
-        gam = np.zeros(size)
-        idx = np.arange(size)
-        t = 0.0
-        for dt, t_end in phases:
-            sq = math.sqrt(2.0 * DIFFUSION * dt)
-            while t < t_end - 0.5 * dt and idx.size:
-                noise = rng.normal(0.0, sq, idx.size)
-                new = gam + v * dt + noise
-                hit, frac, retire = bridge_step(gam, new, r2, side, dt, rng.random(idx.size))
-                if hit.any():
-                    g = idx[hit]
-                    crossed[lo + g] = True
-                    times[lo + g] = t + frac[hit] * dt
-                keep = ~retire
-                gam, v, idx = new[keep], v[keep], idx[keep]
-                t += dt
-            if not idx.size:
-                break
-    return crossed, times
+        def draw(k0, k1, alive):
+            shape = (k1 - k0, alive.size)
+            return rng.standard_normal(shape), rng.random(shape)
+
+        times[lo:hi], _ = walk_first_passage(c, r2, dts, draw)
+    return ~np.isnan(times), times

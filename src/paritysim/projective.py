@@ -1,49 +1,33 @@
 """Strong-measurement limit: projective parity checks with short rotations.
 
 Each step applies the u2-u3 block rotation by delta_angle and then a
-projective parity measurement. The closed-form step average
-1 - cos^(2(n-1)) delta acts as the oracle for the Monte Carlo; concurrence
-along simulated runs always comes from the general machinery, never from
-the step-specific special cases. delta_angle is the literal rotation angle
-of the block (the u2 amplitude picks up cos delta), which is the angle the
-closed forms are expressed in.
+projective parity measurement. The chain never leaves the closed class, so
+runs are carried as populations and Im rho_23, and concurrence along them
+comes from the closed-class branch values. The closed-form step average
+1 - cos^(2(n-1)) delta acts as the oracle for the Monte Carlo.
+delta_angle is the literal rotation angle of the block (the u2 amplitude
+picks up cos delta), which is the angle the closed forms are expressed in.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import lambda_branch_values, wootters_concurrence
-from .qstate import DensityMatrix, sanitize
+from .concurrence import lambda_branch_values
 
 __all__ = [
-    "Outcome",
-    "ProjectiveRun",
     "rotation",
     "rotate_class",
-    "project_parity",
-    "projective_step",
-    "run_projective",
+    "pulse_class",
     "average_concurrence",
     "zeno_comparison_curve",
     "monte_carlo_average",
 ]
 
-_EVEN_MASK = np.zeros((4, 4))
-_EVEN_MASK[:2, :2] = 1.0
-_ODD_MASK = np.zeros((4, 4))
-_ODD_MASK[2:, 2:] = 1.0
 _EVEN_POPS = np.array([1.0, 1.0, 0.0, 0.0])
 _ODD_POPS = np.array([0.0, 0.0, 1.0, 1.0])
-
-
-class Outcome(enum.Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 def rotation(delta_angle: float) -> np.ndarray:
@@ -76,85 +60,24 @@ def rotate_class(
     return out, c * y + s * d
 
 
-def project_parity(rho: DensityMatrix, parity: Outcome) -> tuple[float, DensityMatrix]:
-    """Collapse onto one parity subspace.
+def pulse_class(
+    p: np.ndarray, y: np.ndarray, delta_angle: float, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chain step on closed-class lanes: rotate by delta_angle, then
+    measure parity.
 
-    Returns (branch probability, renormalized post-measurement state).
-    Raises on a zero-probability branch.
+    Lane i comes out even where u[i] < p_even, its Born probability after
+    the rotation, so uniforms in [0, 1) never pick a zero-weight branch.
+    Returns the post-measurement populations and y, and the even mask.
     """
-    mask = _EVEN_MASK if parity is Outcome.EVEN else _ODD_MASK
-    block = rho.mat * mask
-    p = float(np.real(np.trace(block)))
-    if p <= 0.0:
-        raise ValueError(f"{parity.value} branch has zero probability")
-    return p, sanitize(block / p).state
-
-
-def projective_step(
-    rho: DensityMatrix, delta_angle: float, rng: np.random.Generator
-) -> tuple[Outcome, DensityMatrix]:
-    """Rotate, then measure parity; the outcome is drawn from the Born
-    probabilities."""
-    u = rotation(delta_angle)
-    rotated = sanitize(u @ rho.mat @ u.conj().T).state
-    p_even = float(np.real(rotated.mat[0, 0] + rotated.mat[1, 1]))
-    outcome = Outcome.EVEN if rng.random() < p_even else Outcome.ODD
-    _, state = project_parity(rotated, outcome)
-    return outcome, state
-
-
-@dataclass(frozen=True)
-class ProjectiveRun:
-    """One realization of the measure-rotate chain.
-
-    states[k] is the post-measurement state of step k+1; concurrences are
-    computed by the general Wootters machinery.
-    """
-
-    delta_angle: float
-    outcomes: tuple[Outcome, ...]
-    states: tuple[DensityMatrix, ...]
-    concurrences: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def to_csv(self, path, *, k_ratio: float) -> None:
-        """step, time (units of T_q = 1, so t_n = n/K), outcome, concurrence."""
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("step,time,outcome,concurrence\n")
-            for k, (out, c) in enumerate(zip(self.outcomes, self.concurrences), start=1):
-                fh.write(f"{k},{k / k_ratio:.17g},{out.value},{c:.17g}\n")
-
-
-def run_projective(
-    initial: DensityMatrix,
-    delta_angle: float,
-    n_steps: int,
-    rng: np.random.Generator,
-) -> ProjectiveRun:
-    """Chain n_steps rotate-measure steps from an initial state.
-
-    Every step rotates first; the fully mixed state is rotation invariant,
-    so from it the chain reproduces the bare first measurement followed by
-    rotated ones, the indexing the closed-form average refers to.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    outcomes = []
-    states = []
-    rho = initial
-    for _ in range(n_steps):
-        outcome, rho = projective_step(rho, delta_angle, rng)
-        outcomes.append(outcome)
-        states.append(rho)
-    conc = np.array([wootters_concurrence(s) for s in states])
-    return ProjectiveRun(
-        delta_angle=delta_angle,
-        outcomes=tuple(outcomes),
-        states=tuple(states),
-        concurrences=conc,
-    )
+    p, y = rotate_class(p, y, delta_angle)
+    p_even = p[:, 0] + p[:, 1]
+    even = u < p_even
+    # the projection keeps one parity block and, with it, drops the
+    # u2-u3 coherence that links the blocks
+    mask = np.where(even[:, None], _EVEN_POPS, _ODD_POPS)
+    norm = np.where(even, p_even, 1.0 - p_even)
+    return p * mask / norm[:, None], np.zeros_like(y), even
 
 
 def average_concurrence(n: int, delta_angle: float) -> float:
@@ -185,9 +108,8 @@ def monte_carlo_average(
     """Vectorized ensemble of projective chains from the fully mixed state.
 
     Returns (mean concurrence, standard error) per step, shape (n_steps,).
-    Deterministic in seed; all runs advance in lockstep on one stream. The
-    chain never leaves the closed class, so runs are carried as populations
-    and Im rho_23.
+    Deterministic in seed; all runs advance in lockstep on one stream,
+    one pulse_class step per step.
     """
     if n_steps < 1 or n_runs < 1:
         raise ValueError("n_steps and n_runs must be >= 1")
@@ -197,15 +119,7 @@ def monte_carlo_average(
     means = np.empty(n_steps)
     ses = np.empty(n_steps)
     for k in range(n_steps):
-        p, y = rotate_class(p, y, delta_angle)
-        p_even = p[:, 0] + p[:, 1]
-        even = rng.random(n_runs) < p_even
-        # the projection keeps one parity block and, with it, drops the
-        # u2-u3 coherence that links the blocks
-        mask = np.where(even[:, None], _EVEN_POPS, _ODD_POPS)
-        norm = np.where(even, p_even, 1.0 - p_even)
-        p = p * mask / norm[:, None]
-        y = np.zeros(n_runs)
+        p, y, _ = pulse_class(p, y, delta_angle, rng.random(n_runs))
         l1, l2, l3 = lambda_branch_values(p, y)
         c = np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0)
         means[k] = c.mean()

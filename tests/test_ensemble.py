@@ -297,7 +297,8 @@ def _stepped_crossings(args):
     times and each run's fate: (kind, step) with kind hit, bridge, escape
     or open.
     """
-    seed, p0, lo, hi, thr, dt1, tau_bulk, tau_max = args
+    seed, p0, lo, hi, thr, dt1, tau_max = args
+    tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
     side = math.copysign(1.0, thr)
     n1 = max(1, math.ceil(tau_bulk / dt1))
     n2 = max(0, math.ceil((tau_max - n1 * dt1) / (20.0 * dt1)))

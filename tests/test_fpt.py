@@ -436,6 +436,69 @@ def test_bridge_step_decisions():
     assert frac[1, 0] == pytest.approx(0.4)
 
 
+def test_walk_first_passage_at_infinite_offset_is_constant_drift(monkeypatch):
+    """The oracle's walk_first_passage call, c = +-inf per walker, against
+    a plain per-walk stepper with drift +-1 on the draws the oracle's
+    callback handed out: the same crossings, open count and times, over a
+    direct hit, a bridge crossing, an escape and a retirement in the
+    coarse phase."""
+    real = fpt.walk_first_passage
+    calls = []
+
+    def recording(c, thr, dts, draw):
+        blocks = []
+
+        def logged(k0, k1, alive):
+            xi, u = draw(k0, k1, alive)
+            blocks.append((k0, alive.copy(), xi.copy(), u.copy()))
+            return xi, u
+
+        out = real(c, thr, dts, logged)
+        calls.append((c.copy(), thr, dts, blocks, out))
+        return out
+
+    monkeypatch.setattr(fpt, "walk_first_passage", recording)
+    crossed, times = fpt.walk_crossing_times(0.5, -0.5, 400, dt_tau=0.05, seed=5)
+    [(c, thr, dts, blocks, (got, n_open))] = calls
+    assert np.all(np.isinf(c)) and (c > 0).any() and (c < 0).any()
+    assert np.array_equal(times, got, equal_nan=True)
+    assert np.array_equal(crossed, ~np.isnan(got))
+
+    z = np.full((dts.size, c.size), np.nan)
+    u = np.full_like(z, np.nan)
+    for k0, alive, xi, unif in blocks:
+        z[k0 : k0 + xi.shape[0], alive] = xi
+        u[k0 : k0 + xi.shape[0], alive] = unif
+    n1 = int(np.sum(dts == dts[0]))
+    side = math.copysign(1.0, thr)
+    ref, fates = np.full(c.size, np.nan), []
+    for j in range(c.size):
+        v = 1.0 if c[j] > 0 else -1.0
+        g, t, fate = 0.0, 0.0, ("open", dts.size)
+        for k, dt in enumerate(dts.tolist()):
+            assert not math.isnan(z[k, j]), (j, k)
+            g_new = g + (v + z[k, j] * math.sqrt(1.0 / dt)) * dt
+            a, b = side * (g - thr), side * (g_new - thr)
+            if b >= 0.0:
+                ref[j], fate = t + dt * (thr - g) / (g_new - g), ("hit", k)
+                break
+            if u[k, j] < math.exp(-(a * b) / (fpt.DIFFUSION * dt)):
+                ref[j], fate = t + 0.5 * dt, ("bridge", k)
+                break
+            if b < -fpt.ESCAPE:
+                fate = ("escape", k)
+                break
+            g, t = g_new, t + dt
+        fates.append(fate)
+    kinds = {f for f, _ in fates}
+    assert {"hit", "bridge", "escape"} <= kinds
+    assert any(f != "open" and k >= n1 for f, k in fates)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert n_open == sum(f == "open" for f, _ in fates)
+    hit = ~np.isnan(ref)
+    assert np.max(np.abs(got[hit] - ref[hit])) <= 1e-12
+
+
 def test_walk_is_deterministic():
     c1, t1 = fpt.walk_crossing_times(0.5, -0.5, 2000, seed=3)
     c2, t2 = fpt.walk_crossing_times(0.5, -0.5, 2000, seed=3)

@@ -2,7 +2,10 @@
 
 The post-measurement states of the first few steps have hand-computable
 closed forms; those, the step-average formula, and the absorbing property
-of an outcome flip are the oracles here.
+of an outcome flip are the oracles here. Outcomes are forced through the
+uniforms handed to pulse_class: 0.0 always reads even, the largest double
+below 1 odd wherever the odd branch has weight. Concurrences of the
+returned lanes come from the general Wootters machinery on the 4x4 matrix.
 """
 
 import math
@@ -13,25 +16,37 @@ import pytest
 from conftest import random_closed_class_bell
 from paritysim.concurrence import wootters_concurrence
 from paritysim.projective import (
-    Outcome,
     average_concurrence,
     monte_carlo_average,
-    project_parity,
-    projective_step,
+    pulse_class,
     rotate_class,
     rotation,
-    run_projective,
     zeno_comparison_curve,
 )
-from paritysim.qstate import DensityMatrix, preset_state, sanitize
+from paritysim.qstate import sanitize
+
+EVEN = 0.0
+ODD = np.nextafter(1.0, 0.0)
 
 
-def bell_projector(k: int) -> DensityMatrix:
-    v = np.eye(4, dtype=complex)[k]
-    return sanitize(np.outer(v, v.conj())).state
+def mixed(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.full((n, 4), 0.25), np.zeros(n)
 
 
-MIXED = preset_state("mixed")
+def lane_matrices(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) Bell-basis matrices of closed-class lanes."""
+    mats = np.zeros((p.shape[0], 4, 4), dtype=complex)
+    mats[:, range(4), range(4)] = p
+    mats[:, 1, 2], mats[:, 2, 1] = 1j * y, -1j * y
+    return mats
+
+
+def lane_concurrences(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.array([wootters_concurrence(sanitize(m).state) for m in lane_matrices(p, y)])
+
+
+def pulse(p, y, delta, u):
+    return pulse_class(p, y, delta, np.full(p.shape[0], u))
 
 
 def test_rotation_is_unitary_and_block_shaped():
@@ -62,80 +77,83 @@ def test_rotate_class_matches_rotation(rng):
         assert np.max(np.abs(full[:, 1, 2] - 1j * y_new)) <= 1e-15
 
 
-def test_project_parity_probabilities_sum_to_one():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(4))
-        rho = sanitize(np.diag(p).astype(complex)).state
-        pe, even_state = project_parity(rho, Outcome.EVEN)
-        po, odd_state = project_parity(rho, Outcome.ODD)
-        assert pe + po == pytest.approx(1.0, abs=1e-14)
-        assert np.trace(even_state.mat).real == pytest.approx(1.0, abs=1e-12)
-        assert np.all(even_state.mat[2:, :] == 0)
-        assert np.all(odd_state.mat[:2, :] == 0)
+def test_pulse_class_outcomes_are_normalized_parity_blocks(rng):
+    mats = np.array([random_closed_class_bell(rng) for _ in range(64)])
+    p, y = np.real(np.einsum("nii->ni", mats)), np.imag(mats[:, 1, 2])
+    for delta in (0.0, 0.3, 2.0):
+        p_rot, _ = rotate_class(p, y, delta)
+        p_even = p_rot[:, 0] + p_rot[:, 1]
+        for u, block, other in ((EVEN, slice(0, 2), slice(2, 4)), (ODD, slice(2, 4), slice(0, 2))):
+            q, y_new, even = pulse(p, y, delta, u)
+            assert np.all(even == (u < p_even))
+            assert np.all(y_new == 0.0)
+            assert np.all(q[:, other] == 0.0)
+            assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-14
+            w = np.where(even, p_even, 1.0 - p_even)
+            assert np.max(np.abs(q[:, block] * w[:, None] - p_rot[:, block])) <= 1e-15
 
 
-def test_project_parity_zero_branch_raises():
-    with pytest.raises(ValueError, match="zero probability"):
-        project_parity(bell_projector(0), Outcome.ODD)
+def test_pulse_class_never_picks_a_zero_weight_branch():
+    # At delta = 0 the pure Bell lanes keep p_even exactly 1 (u1, u2) or
+    # 0 (u3, u4); both extreme uniforms must pick the branch with weight.
+    p = np.eye(4)
+    for u in (EVEN, ODD):
+        q, _, even = pulse(p, np.zeros(4), 0.0, u)
+        assert even.tolist() == [True, True, False, False]
+        assert np.array_equal(q, p)
 
 
-def test_first_measurement_from_mixed_state():
+def test_first_measurement_from_mixed_state(rng):
     # Mixed state is rotation invariant, so step 1 is a bare parity check:
     # each outcome with probability 1/2, post-state a half-half diagonal
     # inside one block, concurrence exactly zero.
-    rng = np.random.default_rng(11)
-    n_even = 0
     n = 4000
-    expected_even = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    expected_odd = np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex)
-    for _ in range(n):
-        outcome, state = projective_step(MIXED, math.pi / 30, rng)
-        target = expected_even if outcome is Outcome.EVEN else expected_odd
-        assert np.allclose(state.mat, target, atol=1e-14)
-        assert wootters_concurrence(state) == 0.0
-        n_even += outcome is Outcome.EVEN
+    p, y, even = pulse_class(*mixed(n), math.pi / 30, rng.random(n))
+    target = np.where(even[:, None], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5])
+    assert np.max(np.abs(p - target)) <= 1e-14
+    assert np.all(y == 0.0)
+    assert np.all(lane_concurrences(p, y) == 0.0)
     se = math.sqrt(0.25 / n)
-    assert abs(n_even / n - 0.5) < 3.0 * se
+    assert abs(even.mean() - 0.5) < 3.0 * se
 
 
 def test_even_then_rotation_sits_on_the_border():
     # After one even outcome the rotated state has branch values exactly
     # zero: the chain starts from the separable-entangled border.
     delta = 0.4
-    _, even_state = project_parity(MIXED, Outcome.EVEN)
-    u = rotation(delta)
-    rotated = sanitize(u @ even_state.mat @ u.conj().T).state
-    assert wootters_concurrence(rotated) <= 1e-15
+    p, y, _ = pulse(*mixed(1), delta, EVEN)
+    p, y = rotate_class(p, y, delta)
+    rotated = lane_matrices(p, y)[0]
+    assert lane_concurrences(p, y)[0] <= 1e-15
     c, s = math.cos(delta), math.sin(delta)
     expected = np.diag([0.5, 0.5 * c * c, 0.5 * s * s, 0.0]).astype(complex)
     expected[1, 2] = 0.5j * c * s
     expected[2, 1] = -0.5j * c * s
-    assert np.allclose(rotated.mat, expected, atol=1e-15)
+    assert np.allclose(rotated, expected, atol=1e-15)
 
 
 def test_odd_flip_probability_and_state():
-    # From the post-even rotated state the odd branch has weight
+    # From the post-even state the odd branch of the next step has weight
     # sin^2(delta)/2 and collapses to the pure u3 state.
     delta = 0.7
-    _, even_state = project_parity(MIXED, Outcome.EVEN)
-    u = rotation(delta)
-    rotated = sanitize(u @ even_state.mat @ u.conj().T).state
-    po, odd_state = project_parity(rotated, Outcome.ODD)
-    assert po == pytest.approx(0.5 * math.sin(delta) ** 2, abs=1e-15)
-    assert np.allclose(odd_state.mat, bell_projector(2).mat, atol=1e-13)
-    assert wootters_concurrence(odd_state) == pytest.approx(1.0, abs=1e-12)
+    p, y, _ = pulse(*mixed(1), delta, EVEN)
+    p_even = 1.0 - 0.5 * math.sin(delta) ** 2
+    assert pulse(p, y, delta, p_even - 1e-15)[2][0]
+    assert not pulse(p, y, delta, p_even + 1e-15)[2][0]
+    p, y, even = pulse(p, y, delta, ODD)
+    assert not even[0]
+    assert np.allclose(lane_matrices(p, y)[0], np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-13)
+    assert lane_concurrences(p, y)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_consecutive_evens_closed_form():
     delta = 0.6
-    _, state = project_parity(MIXED, Outcome.EVEN)
-    u = rotation(delta)
-    rotated = sanitize(u @ state.mat @ u.conj().T).state
-    _, state2 = project_parity(rotated, Outcome.EVEN)
+    p, y, _ = pulse(*mixed(1), delta, EVEN)
+    p, y, even = pulse(p, y, delta, EVEN)
+    assert even[0]
     c2 = math.cos(delta) ** 2
     expected = (1.0 - c2) / (1.0 + c2)
-    assert wootters_concurrence(state2) == pytest.approx(expected, abs=1e-14)
+    assert lane_concurrences(p, y)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_average_concurrence_formula_values():
@@ -159,34 +177,41 @@ def test_zeno_curve_axis_and_values():
     assert np.all(np.diff(curve[:, 1]) > 0)
 
 
-def _first_flipping_run():
-    # Roughly half the runs never flip (the stationary u1/u4 components
-    # purify instead), so scan seeds for one that does.
-    for seed in range(32):
-        rng = np.random.default_rng(seed)
-        run = run_projective(MIXED, 0.5, 40, rng)
-        flip = next(
-            (k for k in range(1, 40) if run.outcomes[k] is not run.outcomes[k - 1]),
-            None,
-        )
-        if flip is not None:
-            return run, flip
-    raise AssertionError("no flipping run found in 32 seeds")
+def _flipping_lanes(rng):
+    """40 steps at delta = 0.5 on 256 lanes: the lanes whose outcome ever
+    flips, with their first flip step, outcomes and post-measurement
+    states. Roughly half the lanes never flip (the stationary u1/u4
+    components purify instead)."""
+    n, n_steps = 256, 40
+    p, y = mixed(n)
+    evens, states = [], []
+    for _ in range(n_steps):
+        p, y, even = pulse_class(p, y, 0.5, rng.random(n))
+        evens.append(even)
+        states.append((p, y))
+    evens = np.array(evens)
+    flipped = (evens[1:] != evens[:-1]).any(axis=0)
+    assert flipped.sum() >= n // 4
+    first = (evens[1:] != evens[:-1]).argmax(axis=0) + 1
+    return np.nonzero(flipped)[0], first, evens, states
 
 
-def test_run_projective_absorbing_after_flip():
-    run, first_flip = _first_flipping_run()
-    assert len(run) == 40
-    for k in range(first_flip, 40):
-        assert run.concurrences[k] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(run.concurrences >= 0.0) and np.all(run.concurrences <= 1.0 + 1e-12)
+def test_chain_absorbing_after_flip(rng):
+    lanes, first, _, states = _flipping_lanes(rng)
+    for k, (p, y) in enumerate(states):
+        conc = lane_concurrences(p[lanes], y[lanes])
+        assert np.all(conc >= 0.0) and np.all(conc <= 1.0 + 1e-12)
+        trapped = k >= first[lanes]
+        assert np.all(np.abs(conc[trapped] - 1.0) <= 1e-12), k
 
 
-def test_run_projective_trapped_states_alternate_pure_bell():
-    run, first_flip = _first_flipping_run()
-    for k in range(first_flip, 40):
-        target = bell_projector(1 if run.outcomes[k] is Outcome.EVEN else 2)
-        assert np.allclose(run.states[k].mat, target.mat, atol=1e-10)
+def test_chain_trapped_lanes_alternate_pure_bell(rng):
+    lanes, first, evens, states = _flipping_lanes(rng)
+    for k, (p, y) in enumerate(states):
+        trapped = lanes[k >= first[lanes]]
+        target = np.where(evens[k, trapped, None], np.eye(4)[1], np.eye(4)[2])
+        assert np.allclose(p[trapped], target, atol=1e-10), k
+        assert np.all(y[trapped] == 0.0)
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.1, math.pi / 30])
@@ -212,17 +237,3 @@ def test_monte_carlo_deterministic():
 def test_monte_carlo_zero_angle_never_entangles():
     means, _ = monte_carlo_average(0.0, 8, 300, seed=1)
     assert np.all(means == 0.0)
-
-
-def test_run_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    run = run_projective(MIXED, math.pi / 30, 6, rng)
-    path = tmp_path / "run.csv"
-    run.to_csv(path, k_ratio=30.0)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "step,time,outcome,concurrence"
-    assert len(rows) == 7
-    first = rows[1].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(1.0 / 30.0)
-    assert first[2] in ("even", "odd")

@@ -33,7 +33,8 @@ from .trajectory import (
     C_NOISE,
     SimConfig,
     TrajectoryRecord,
-    advance_class,
+    _ClassLanes,
+    _drive_coefficients,
     clip_floor,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 _CHUNK = 256      # fixed batching unit; --jobs maps chunks to processes
+_EVENT_BLOCK = 128  # steps per evaluation of the branch maximum and events
 _X_TOL = 1e-9
 
 
@@ -220,7 +222,18 @@ def _noise_generators(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
 
 
 def _ensemble_chunk(args) -> dict:
-    """Runs [lo, hi): the batched mirror of trajectory.simulate."""
+    """Runs [lo, hi): the batched mirror of trajectory.simulate.
+
+    The lanes step in place on the batch class kernel (_ClassLanes), which
+    is bitwise the one-lane stepper of simulate, on noise drawn per run
+    _NOISE_BLOCK steps at a time and scaled in place to a = xi dt / S0.
+    Each step's state is copied into a block of _EVENT_BLOCK + 1 states.
+    At the end of a block the branch maximum is evaluated once for all of
+    them, and the record columns, border events and rise times of the
+    block are found with array operations. The interpolation expressions
+    are those of events_from_series, so an ensemble of one reproduces
+    detect_events exactly.
+    """
     cfg, p0, y0, lo, hi, rise_threshold = args
     n = hi - lo
     n_steps = cfg.n_steps
@@ -228,75 +241,87 @@ def _ensemble_chunk(args) -> dict:
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
     n_rec = len(rec_steps)
+    rec_at = np.asarray(rec_steps)
     dt, s0 = cfg.dt, cfg.s0
     sigma = math.sqrt(C_NOISE * s0 / dt)
     floor = clip_floor(cfg)
+    coef = _drive_coefficients(dt, s0, cfg.delta, cfg.gamma[1, 2])
 
     gens = _noise_generators(cfg.seed, lo, hi)
-    n_blocks = -(-n_steps // _NOISE_BLOCK)
-    # step-major, so each step reads one contiguous row
-    xi_all = np.empty((n_blocks * _NOISE_BLOCK, n))
-    for j, g in enumerate(gens):
-        for b in range(n_blocks):
-            xi_all[b * _NOISE_BLOCK : (b + 1) * _NOISE_BLOCK, j] = g.normal(
-                0.0, sigma, _NOISE_BLOCK
-            )
-
-    p = np.tile(p0, (n, 1))
-    y = np.full(n, y0)
+    a_block = np.empty((_NOISE_BLOCK, n))   # step-major: a step reads one row
+    lanes = _ClassLanes(n).load(p0, y0)
+    states = np.empty((_EVENT_BLOCK + 1, 5, n))
+    states[0] = lanes.s
     lam_rec = np.empty((n, n_rec))
     genesis = np.full(n, np.nan)
-    genesis_seen = np.zeros(n, dtype=bool)
+    genesis_seen: list[bool] = []
     rise = np.full(n, np.nan)
     events: list[list[BorderEvent]] = [[] for _ in range(n)]
     corrections = 0.0
     clip_total = 0.0
     n_clips = 0
-    prev_lam = None
     slot = 0
-    for k in range(n_steps + 1):
-        l1, l2, l3 = lambda_branch_values(p, y)
+    k0 = 0
+    while k0 < n_steps:
+        k1 = min(k0 + _EVENT_BLOCK, n_steps)
+        # _EVENT_BLOCK divides _NOISE_BLOCK, so noise blocks start on event blocks
+        if k0 % _NOISE_BLOCK == 0:
+            for j, g in enumerate(gens):
+                a_block[:, j] = g.normal(0.0, sigma, _NOISE_BLOCK)
+            a_block *= dt / s0
+        for k in range(k0, k1):
+            try:
+                corr, clipped, n_c = lanes.advance(a_block[k % _NOISE_BLOCK], coef, floor)
+            except DivergenceError as exc:
+                raise DivergenceError(f"runs [{lo}, {hi}) at step {k + 1}: {exc}") from None
+            corrections += corr
+            clip_total += clipped
+            n_clips += n_c
+            states[k + 1 - k0] = lanes.s
+
+        # row i of the block is step k0 + i
+        blk = states[: k1 - k0 + 1]
+        l1, l2, l3 = lambda_branch_values(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
         lam = np.maximum(np.maximum(l1, l2), l3)
-        if rec_steps[slot] == k:
-            lam_rec[:, slot] = lam
-            slot += 1
-        if k == 0:
-            genesis_seen[:] = lam > 0.0
+        if k0 == 0:
+            genesis_seen = (lam[0] > 0.0).tolist()
             if rise_threshold is not None:
-                rise[lam > rise_threshold] = 0.0
-        else:
-            # same interpolation expression as events_from_series so an
-            # ensemble of one reproduces detect_events exactly
-            t0, t1 = (k - 1) * dt, k * dt
-            ent_prev = prev_lam > 0.0
-            ent = lam > 0.0
-            for j in np.nonzero(ent != ent_prev)[0]:
-                t_star = t0 + (t1 - t0) * (prev_lam[j] / (prev_lam[j] - lam[j]))
-                if ent[j]:
-                    if genesis_seen[j]:
-                        kind = EventKind.SUDDEN_BIRTH
-                    else:
-                        kind = EventKind.GENESIS
-                        genesis[j] = t_star
-                        genesis_seen[j] = True
+                rise[lam[0] > rise_threshold] = 0.0
+        stop = int(np.searchsorted(rec_at, k1, side="right"))
+        lam_rec[:, slot:stop] = lam[rec_at[slot:stop] - k0].T
+        slot = stop
+
+        ent = lam > 0.0
+        # lane j crosses within step k = k0 + 1 + i, from t0 to t1, in
+        # event (i, j); events come in step order, as step by step
+        i, j = np.nonzero(ent[1:] != ent[:-1])
+        k = k0 + 1 + i
+        t0, t1 = (k - 1) * dt, k * dt
+        before, after = lam[i, j], lam[i + 1, j]
+        t_star = t0 + (t1 - t0) * (before / (before - after))
+        ups = ent[i + 1, j].tolist()
+        for jj, kk, tt, up in zip(j.tolist(), k.tolist(), t_star.tolist(), ups):
+            if up:
+                if genesis_seen[jj]:
+                    kind = EventKind.SUDDEN_BIRTH
                 else:
-                    kind = EventKind.SUDDEN_DEATH
-                events[j].append(BorderEvent(float(t_star), kind, k))
-            if rise_threshold is not None:
-                for j in np.nonzero(np.isnan(rise) & (lam > rise_threshold))[0]:
-                    rise[j] = t0 + (t1 - t0) * (
-                        (rise_threshold - prev_lam[j]) / (lam[j] - prev_lam[j])
-                    )
-        prev_lam = lam
-        if k == n_steps:
-            break
-        try:
-            p, y, corr, clipped, n_c = advance_class(p, y, xi_all[k], cfg, floor)
-        except DivergenceError as exc:
-            raise DivergenceError(f"runs [{lo}, {hi}) at step {k + 1}: {exc}") from None
-        corrections += corr
-        clip_total += clipped
-        n_clips += n_c
+                    kind = EventKind.GENESIS
+                    genesis[jj] = tt
+                    genesis_seen[jj] = True
+            else:
+                kind = EventKind.SUDDEN_DEATH
+            events[jj].append(BorderEvent(tt, kind, kk))
+        if rise_threshold is not None:
+            # the first step of the block that ends above the threshold
+            above = lam[1:] > rise_threshold
+            (j,) = np.nonzero(np.isnan(rise) & above.any(axis=0))
+            i = above[:, j].argmax(axis=0)
+            k = k0 + 1 + i
+            t0, t1 = (k - 1) * dt, k * dt
+            before, after = lam[i, j], lam[i + 1, j]
+            rise[j] = t0 + (t1 - t0) * ((rise_threshold - before) / (after - before))
+        states[0] = states[k1 - k0]
+        k0 = k1
 
     conc_rec = np.maximum(lam_rec, 0.0)
     return {

@@ -21,17 +21,20 @@ trace exactly in exact arithmetic; the integrator renormalizes the trace
 each step and logs the (rounding-level) corrections.
 
 States on the closed class (rho_14 = 0, rho_23 purely imaginary) are
-integrated as five real numbers per lane by class_step, with positivity
-tested and projected in closed form by class_repair; the (n, 4, 4) kernel
+integrated as five real numbers per lane, with positivity tested and
+projected in closed form on the exact spectrum; the (n, 4, 4) kernel
 step_batch with the polynomial trigger psd_violations and the eigh repair
 clip_negative_eigenvalues serves states off the class.
 
-Ensembles step class lanes in batches (advance_class). A single trajectory
-steps its one lane on Python floats (_lane_stepper), which makes the same
-float operations in the same order as advance_class at n = 1 and hands
-every lane near the positivity boundary to class_repair, so the two agree
-bit for bit. A change to the class step (a split-step integrator, say)
-must change both together.
+The batch class kernel is _ClassLanes: n lanes held as one (5, n) row
+array p1, p2, p3, p4, y and stepped in place through scratch rows made
+once. Ensembles run it directly; class_step, class_repair and
+advance_class are wrappers that convert (n, 4) populations to the rows
+and back. A single trajectory steps its one lane on Python floats
+(_lane_stepper), which makes the same float operations in the same order
+as the batch kernel and hands every lane near the positivity boundary to
+the kernel's repair at n = 1, so the two agree bit for bit. A change to
+the class step (a split-step integrator, say) must change both together.
 """
 
 from __future__ import annotations
@@ -275,96 +278,25 @@ def clip_floor(cfg: SimConfig) -> float:
 
 
 # On the closed class (rho_14 = 0, rho_23 = i y, every other off-diagonal
-# entry zero) a state is its populations p, shape (n, 4), plus y, shape
-# (n,). The (populations, Im rho_23) part of step_batch is a closed
-# subsystem for any initial state: H couples only u2 and u3, the
-# measurement terms act elementwise, and the mean current depends on the
-# populations alone.
+# entry zero) a state is its four Bell populations and y = Im rho_23. The
+# (populations, Im rho_23) part of step_batch is a closed subsystem for any
+# initial state: H couples only u2 and u3, the measurement terms act
+# elementwise, and the mean current depends on the populations alone.
 
 # class eigenvalues in [-_CLASS_SLACK, 0) are rounding, not overshoot; the
 # bound keeps every unrepaired 2x2 determinant p2 p3 - y^2 above -1e-15
 _CLASS_SLACK = 1e-15
 _TRACE_DRIFT = 1e-6
+# I_i for the row pairs (p1, p2) and (p3, p4): +1 and -1
+_PARITY_SIGNS = _I[::2, None]
+_TINY = math.ulp(0.0)
 
 
-def class_step(
-    p: np.ndarray,
-    y: np.ndarray,
-    xi: np.ndarray,
-    dt: float,
-    s0: float,
-    delta: float,
-    gamma23: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """step_batch on the closed class, returning new (p, y).
-
-    With a = xi dt / S0 and m the mean current: p_i *= 1 + a (I_i - m);
-    the drive moves 2 delta dt y from u2 to u3; y decays at the
-    measurement rate 1/(2 S0) plus gamma23 and is fed by delta dt (p2 - p3).
-    The trace is left for the caller to renormalize.
-    """
-    m = (p[:, 0] + p[:, 1]) - (p[:, 2] + p[:, 3])
-    a = xi * (dt / s0)
-    new_p = p * (1.0 + a[:, None] * (_I - m[:, None]))
-    flow = (2.0 * delta * dt) * y
-    new_p[:, 1] -= flow
-    new_p[:, 2] += flow
-    new_y = y * (1.0 - m * a - (0.5 / s0 + gamma23) * dt) + (delta * dt) * (
-        p[:, 1] - p[:, 2]
-    )
-    return new_p, new_y
-
-
-def class_repair(
-    p: np.ndarray, y: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Closed-form positivity projection of class lanes.
-
-    The spectrum of a class state is p1, p4 and h +- r, with h = (p2 + p3)/2
-    and r = sqrt(((p2 - p3)/2)^2 + y^2). Lanes with an eigenvalue below
-    -_CLASS_SLACK get every negative eigenvalue clipped to zero, keeping the
-    eigenvectors, and are renormalized: the projection
-    clip_negative_eigenvalues makes with eigh. Other lanes are returned
-    unchanged. An eigenvalue below -floor raises DivergenceError. Returns
-    (p, y, total clipped magnitude, number of lanes clipped).
-    """
-    p1, p2, p3, p4 = p.T
-    h = 0.5 * (p2 + p3)
-    d = 0.5 * (p2 - p3)
-    r = np.hypot(d, y)
-    lp = h + r
-    lm = h - r
-    low = np.minimum(np.minimum(p1, p4), lm)
-    flagged = low < -_CLASS_SLACK
-    if not flagged.any():
-        return p, y, 0.0, 0
-    worst = float(low.min())
-    if worst < -floor:
-        raise DivergenceError(
-            f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
-            "integrator divergence (dt too large?)"
-        )
-    k1 = np.maximum(p1, 0.0)
-    k4 = np.maximum(p4, 0.0)
-    kp = np.maximum(lp, 0.0)
-    km = np.maximum(lm, 0.0)
-    clip = ((k1 - p1) + (k4 - p4)) + ((kp - lp) + (km - lm))
-    total = float(clip[flagged].sum())
-    tr = (k1 + k4) + (kp + km)
-    # the u2-u3 block keeps its eigenvectors: its Bloch part (d, y) scales
-    # by (l+ - l-) / (2 r); r = 0 only where the two eigenvalues coincide
-    scale = np.divide(kp - km, 2.0 * r, out=np.zeros_like(r), where=r > 0.0)
-    hc = 0.5 * (kp + km)
-    dc = scale * d
-    new_p = np.empty_like(p)
-    new_p[:, 0] = k1
-    new_p[:, 1] = hc + dc
-    new_p[:, 2] = hc - dc
-    new_p[:, 3] = k4
-    new_p /= tr[:, None]
-    p = np.where(flagged[:, None], new_p, p)
-    y = np.where(flagged, scale * y / tr, y)
-    return p, y, total, int(np.count_nonzero(flagged))
+def _drive_coefficients(dt: float, s0: float, delta: float, gamma23: float):
+    """(flow, feed, decay) of a class step: the drive moves flow * y from
+    u2 to u3 and feeds y by feed * (p2 - p3); y also decays by decay
+    besides the measurement term."""
+    return 2.0 * delta * dt, delta * dt, float((0.5 / s0 + gamma23) * dt)
 
 
 def _trace_deviation(tr: np.ndarray) -> np.ndarray:
@@ -378,22 +310,193 @@ def _trace_deviation(tr: np.ndarray) -> np.ndarray:
     return dev
 
 
+class _ClassLanes:
+    """n class lanes stepped in place: the batch class kernel.
+
+    The state s is one (5, n) array with rows p1, p2, p3, p4 and y. The
+    scratch rows and every view the step uses are made here once, and each
+    ufunc writes through out=; rows that share an operation take one call.
+    The float operations and their order are those of the formulas in the
+    docstrings of class_step and class_repair, so every lane is bitwise
+    what _lane_stepper makes of it.
+    """
+
+    def __init__(self, n: int):
+        self.s = s = np.empty((5, n))
+        (self.tr, self.dev, self.m, self.flow, self.feed, self.yfac, self.r,
+         self.low, self.clip, self.norm, self.r2, self.scale, self.hc,
+         self.dc) = np.empty((14, n))
+        self.pair = np.empty((2, n))
+        self.fac = np.empty((2, n))     # 1 + a (I - m) for even and odd rows
+        self.hd = np.empty((2, n))      # h = (p2 + p3)/2, d = (p2 - p3)/2
+        self.spec = np.empty((4, n))    # p1, l+, l-, p4
+        self.new = np.empty((5, n))     # the repaired lanes
+        self.flags = np.empty((5, n), dtype=bool)   # one row per state row
+        self.firsts, self.seconds = s[0:4:2], s[1:4:2]  # (p1, p3), (p2, p4)
+        self.ends = s[0:4:3]                              # p1, p4
+        self.blocks = s[:4].reshape(2, 2, n)              # (p1, p2), (p3, p4)
+        self.spec_ends = self.spec[0:4:3]
+        self.spec_out = self.spec[0:2]                    # p1, l+
+        self.spec_in = self.spec[3:1:-1]                  # p4, l-
+        self.new_out = self.new[0:2]
+        self.new_in = self.new[3:1:-1]
+
+    def load(self, p: np.ndarray, y) -> "_ClassLanes":
+        """Fill the rows from populations p, shape (n, 4) or (4,), and y."""
+        self.s[:4] = np.asarray(p).T.reshape(4, -1)
+        self.s[4] = y
+        return self
+
+    def unload(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of (p, y) in the (n, 4), (n,) layout."""
+        return self.s[:4].T.copy(), self.s[4].copy()
+
+    def drive(self, a: np.ndarray, coef) -> None:
+        """class_step in place, with a = xi dt / S0 per lane."""
+        flow_c, feed_c, decay_c = coef
+        s, m, fac, flow, feed, yfac = self.s, self.m, self.fac, self.flow, self.feed, self.yfac
+        np.add(self.firsts, self.seconds, out=self.pair)  # p1 + p2, p3 + p4
+        np.subtract(self.pair[0], self.pair[1], out=m)
+        np.subtract(_PARITY_SIGNS, m, out=fac)
+        fac *= a
+        fac += 1.0
+        np.multiply(s[4], flow_c, out=flow)
+        np.subtract(s[1], s[2], out=feed)
+        feed *= feed_c
+        np.multiply(m, a, out=yfac)
+        np.subtract(1.0, yfac, out=yfac)
+        yfac -= decay_c
+        s[4] *= yfac
+        s[4] += feed
+        np.multiply(self.blocks, fac[:, None], out=self.blocks)
+        s[1] -= flow
+        s[2] += flow
+
+    def renormalize(self) -> float:
+        """The trace check and renormalization; returns the sum of |tr - 1|."""
+        s, tr, dev = self.s, self.tr, self.dev
+        np.add(s[0], s[1], out=tr)
+        tr += s[2]
+        tr += s[3]
+        np.subtract(tr, 1.0, out=dev)
+        np.abs(dev, out=dev)
+        if not dev.max() <= _TRACE_DRIFT:
+            _trace_deviation(tr)
+        s /= tr
+        return float(dev.sum())
+
+    def repair(self, floor: float) -> tuple[float, int]:
+        """class_repair in place; returns (clipped magnitude, lanes clipped)."""
+        s, hd, r, spec, low = self.s, self.hd, self.r, self.spec, self.low
+        np.add(s[1], s[2], out=hd[0])
+        np.subtract(s[1], s[2], out=hd[1])
+        hd *= 0.5
+        np.hypot(hd[1], s[4], out=r)
+        self.spec_ends[...] = self.ends
+        np.add(hd[0], r, out=spec[1])
+        np.subtract(hd[0], r, out=spec[2])
+        np.minimum(spec[0], spec[3], out=low)
+        np.minimum(low, spec[2], out=low)
+        worst = float(low.min())
+        if worst >= -_CLASS_SLACK:
+            return 0.0, 0
+        np.less(low, -_CLASS_SLACK, out=self.flags)
+        flag = self.flags[0]
+        if worst < -floor:
+            raise DivergenceError(
+                f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
+                "integrator divergence (dt too large?)"
+            )
+        new, pair, norm, scale = self.new, self.pair, self.norm, self.scale
+        kept = new[:4]
+        np.maximum(spec, 0.0, out=kept)
+        np.subtract(kept, spec, out=spec)
+        np.add(self.spec_out, self.spec_in, out=pair)
+        np.add(pair[0], pair[1], out=self.clip)
+        total = float(self.clip[flag].sum())
+        np.add(self.new_out, self.new_in, out=pair)
+        np.add(pair[0], pair[1], out=norm)
+        # the u2-u3 block keeps its eigenvectors: its Bloch part (d, y)
+        # scales by (l+ - l-) / (2 r). r = 0 only where the two eigenvalues
+        # coincide, and there the scale is 0: l+ - l- is exactly 0, and the
+        # smallest subnormal stands in for 2 r, which is never below it
+        np.subtract(new[1], new[2], out=self.dc)
+        np.multiply(r, 2.0, out=self.r2)
+        np.maximum(self.r2, _TINY, out=self.r2)
+        np.divide(self.dc, self.r2, out=scale)
+        np.add(new[1], new[2], out=self.hc)
+        self.hc *= 0.5
+        np.multiply(scale, hd[1], out=self.dc)
+        np.add(self.hc, self.dc, out=new[1])
+        np.subtract(self.hc, self.dc, out=new[2])
+        np.multiply(scale, s[4], out=new[4])
+        new /= norm
+        np.putmask(s, self.flags, new)
+        return total, int(np.count_nonzero(flag))
+
+    def advance(self, a: np.ndarray, coef, floor: float) -> tuple[float, float, int]:
+        """One integrator step: drive, the trace check and renormalization,
+        repair. Returns (sum of |tr - 1|, clipped magnitude, lanes clipped)."""
+        self.drive(a, coef)
+        dev = self.renormalize()
+        return (dev, *self.repair(floor))
+
+
+def class_step(
+    p: np.ndarray,
+    y: np.ndarray,
+    xi: np.ndarray,
+    dt: float,
+    s0: float,
+    delta: float,
+    gamma23: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step_batch on the closed class, returning new (p, y), p of shape
+    (n, 4).
+
+    With a = xi dt / S0 and m = (p1 + p2) - (p3 + p4) the mean current:
+    p_i *= 1 + a (I_i - m); the drive moves 2 delta dt y from u2 to u3; y
+    becomes y (1 - m a - (1/(2 S0) + gamma23) dt) + delta dt (p2 - p3),
+    decaying at the measurement rate and fed by the drive. The trace is
+    left for the caller to renormalize.
+    """
+    lanes = _ClassLanes(len(y)).load(p, y)
+    lanes.drive(xi * (dt / s0), _drive_coefficients(dt, s0, delta, gamma23))
+    return lanes.unload()
+
+
+def class_repair(
+    p: np.ndarray, y: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Closed-form positivity projection of class lanes.
+
+    The spectrum of a class state is p1, p4 and l+- = h +- r, with
+    h = (p2 + p3)/2 and r = hypot((p2 - p3)/2, y). Lanes whose smallest of
+    p1, p4 and l- is below -_CLASS_SLACK get every negative eigenvalue
+    clipped to zero, keeping the eigenvectors, and are renormalized: the
+    projection clip_negative_eigenvalues makes with eigh. Other lanes are
+    returned unchanged. An eigenvalue below -floor raises DivergenceError.
+    Returns (p, y, total clipped magnitude, number of lanes clipped).
+    """
+    lanes = _ClassLanes(len(y)).load(p, y)
+    clipped, n_c = lanes.repair(floor)
+    return (*lanes.unload(), clipped, n_c)
+
+
 def advance_class(
     p: np.ndarray, y: np.ndarray, xi: np.ndarray, cfg: SimConfig, floor: float
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """One integrator step of class lanes: class_step, the trace check,
-    renormalization and class_repair.
+    renormalization of all five rows by tr = ((p1 + p2) + p3) + p4 and
+    class_repair.
 
     Returns (p, y, sum of |tr - 1| over lanes, clipped magnitude, lanes
     clipped).
     """
-    p, y = class_step(p, y, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
-    tr = ((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]
-    dev = _trace_deviation(tr)
-    p /= tr[:, None]
-    y /= tr
-    p, y, clipped, n_c = class_repair(p, y, floor)
-    return p, y, float(dev.sum()), clipped, n_c
+    lanes = _ClassLanes(len(y)).load(p, y)
+    coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+    dev, clipped, n_c = lanes.advance(xi * (cfg.dt / cfg.s0), coef, floor)
+    return (*lanes.unload(), dev, clipped, n_c)
 
 
 def _advance_full(
@@ -408,13 +511,16 @@ def _advance_full(
     return rho, float(dev.sum()), clipped, n_c
 
 
-# The lane prefilter passes a lane without class_repair only if p1 >= 0,
+# The lane prefilter passes a lane without the repair only if p1 >= 0,
 # p4 >= 0, h >= 0 and h^2 - (d^2 + y^2) >= _LANE_MARGIN. Exactly, that
 # makes l- = (h^2 - r^2) / (h + r) >= _LANE_MARGIN / (2 h), and h <= 1/2 up
 # to the trace drift, so l- >= 1e-12. Rounding in the prefilter and in
-# class_repair's h - hypot(d, y) is a few ulp of h (< 1e-15), so
-# class_repair would find low >= 0 > -_CLASS_SLACK and not flag the lane.
-# The prefilter sends extra lanes, never fewer.
+# the repair's h - hypot(d, y) is a few ulp of h (< 1e-15), so the
+# repair would find low >= 0 > -_CLASS_SLACK and not flag the lane.
+# A lane with p1 >= 0, p4 >= 0 and an empty u2-u3 block (p2 = p3 = y = 0)
+# has the spectrum p1, p4, 0, 0 exactly, so it passes too; the Bell-state
+# starts u1 and u4 stay on it for good. The prefilter sends extra lanes,
+# never fewer.
 _LANE_MARGIN = 1e-12
 
 
@@ -423,14 +529,15 @@ def _lane_stepper(cfg: SimConfig, floor: float):
 
     Returns advance(lane, xi) -> (lane, |tr - 1|, clipped magnitude, lanes
     clipped), with lane = (p1, p2, p3, p4, y). The float operations and
-    their order are class_step's and advance_class's. A bad trace raises
-    through _trace_deviation, and lanes the prefilter above cannot clear
-    go to class_repair, which alone decides and makes a repair.
+    their order are those of _ClassLanes.drive and renormalize. A bad
+    trace raises through _trace_deviation, and lanes the prefilter above
+    cannot clear go to the repair of a one-lane _ClassLanes, which alone
+    decides and makes a repair.
     """
     per_xi = cfg.dt / cfg.s0
-    flow_c = 2.0 * cfg.delta * cfg.dt
-    feed_c = cfg.delta * cfg.dt
-    decay_c = float((0.5 / cfg.s0 + cfg.gamma[1, 2]) * cfg.dt)
+    flow_c, feed_c, decay_c = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+    one = _ClassLanes(1)
+    rows, repair = one.s, one.repair
 
     def advance(lane, xi):
         p1, p2, p3, p4, y = lane
@@ -455,11 +562,12 @@ def _lane_stepper(cfg: SimConfig, floor: float):
         y /= tr
         h = 0.5 * (p2 + p3)
         d = 0.5 * (p2 - p3)
-        if p1 < 0.0 or p4 < 0.0 or h < 0.0 or h * h - (d * d + y * y) < _LANE_MARGIN:
-            p, ys, clipped, n_c = class_repair(
-                np.array([[p1, p2, p3, p4]]), np.array([y]), floor
-            )
-            return (*p[0].tolist(), float(ys[0])), dev, clipped, n_c
+        if p1 < 0.0 or p4 < 0.0 or h < 0.0 or (
+            h * h - (d * d + y * y) < _LANE_MARGIN and not p2 == p3 == y == 0.0
+        ):
+            rows[:, 0] = (p1, p2, p3, p4, y)
+            clipped, n_c = repair(floor)
+            return tuple(rows[:, 0].tolist()), dev, clipped, n_c
         return (p1, p2, p3, p4, y), dev, 0.0, 0
 
     return advance
@@ -573,7 +681,7 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     differ only in the state update; the noise block, the record grid, the
     running integral and the recording are shared. A new class step (the
     planned split-step integrator) must change _lane_stepper and
-    class_step together.
+    _ClassLanes together.
     """
     n_steps = cfg.n_steps
     rec_steps = list(range(0, n_steps + 1, cfg.record_stride))

@@ -1,10 +1,13 @@
 """Ensemble aggregation, event detection, and analytic validation checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from paritysim import ensemble, trajectory
+from paritysim.concurrence import lambda_branch_values
 from paritysim.ensemble import (
     BorderEvent,
     EnsembleStats,
@@ -15,12 +18,14 @@ from paritysim.ensemble import (
     genesis_histogram,
     run_ensemble,
     validate_against_analytics,
+    _EVENT_BLOCK,
     _crossing_chunk,
     _crossing_chunks,
+    _ensemble_chunk,
 )
 from paritysim.fpt import DIFFUSION, ESCAPE, drift_offset
-from paritysim.qstate import preset_state, sanitize
-from paritysim.trajectory import _NOISE_BLOCK, SimConfig, simulate
+from paritysim.qstate import DivergenceError, preset_state, sanitize
+from paritysim.trajectory import _NOISE_BLOCK, C_NOISE, SimConfig, advance_class, simulate
 
 MIXED = preset_state("mixed")
 
@@ -131,6 +136,126 @@ def test_ensemble_deterministic_and_jobs_invariant():
     assert a.events == b.events
     assert a.trace_correction_total == b.trace_correction_total
     assert a.clip_total == b.clip_total
+    assert a.n_clips == b.n_clips
+
+
+def _stepped_ensemble(args):
+    """Plain per-step transcription of _ensemble_chunk.
+
+    advance_class steps on each run's noise stream drawn _NOISE_BLOCK
+    values at a time, the branch maximum after every step, and the event
+    and rise rules of events_from_series written out lane by lane.
+    """
+    cfg, p0, y0, lo, hi, thr = args
+    n, n_steps, dt = hi - lo, cfg.n_steps, cfg.dt
+    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
+    if rec_steps[-1] != n_steps:
+        rec_steps.append(n_steps)
+    sigma = math.sqrt(C_NOISE * cfg.s0 / dt)
+    xi = np.empty((n, -(-n_steps // _NOISE_BLOCK) * _NOISE_BLOCK))
+    for j in range(n):
+        g = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(lo + j,)))
+        for at in range(0, xi.shape[1], _NOISE_BLOCK):
+            xi[j, at : at + _NOISE_BLOCK] = g.normal(0.0, sigma, _NOISE_BLOCK)
+    floor = trajectory.clip_floor(cfg)
+    p, y = np.tile(p0, (n, 1)), np.full(n, y0)
+    lam_rec = np.empty((n, len(rec_steps)))
+    genesis, rise = np.full(n, np.nan), np.full(n, np.nan)
+    events = [[] for _ in range(n)]
+    corrections = clip_total = 0.0
+    n_clips = 0
+    for k in range(n_steps + 1):
+        l1, l2, l3 = lambda_branch_values(p, y)
+        lam = np.maximum(np.maximum(l1, l2), l3)
+        if k in rec_steps:
+            lam_rec[:, rec_steps.index(k)] = lam
+        if k == 0:
+            seen = lam > 0.0
+            if thr is not None:
+                rise[lam > thr] = 0.0
+        else:
+            t0, t1 = (k - 1) * dt, k * dt
+            for j in range(n):
+                a, b = prev[j], lam[j]
+                if (b > 0.0) != (a > 0.0):
+                    t_star = t0 + (t1 - t0) * (a / (a - b))
+                    if b <= 0.0:
+                        kind = EventKind.SUDDEN_DEATH
+                    elif seen[j]:
+                        kind = EventKind.SUDDEN_BIRTH
+                    else:
+                        kind = EventKind.GENESIS
+                        genesis[j], seen[j] = t_star, True
+                    events[j].append(BorderEvent(float(t_star), kind, k))
+                if thr is not None and math.isnan(rise[j]) and b > thr:
+                    rise[j] = t0 + (t1 - t0) * ((thr - a) / (b - a))
+        prev = lam
+        if k == n_steps:
+            break
+        p, y, corr, clipped, n_c = advance_class(p, y, xi[:, k], cfg, floor)
+        corrections += corr
+        clip_total += clipped
+        n_clips += n_c
+    conc_rec = np.maximum(lam_rec, 0.0)
+    return {
+        "lam_sum": lam_rec.sum(axis=0),
+        "lam_sumsq": (lam_rec**2).sum(axis=0),
+        "conc_sum": conc_rec.sum(axis=0),
+        "conc_sumsq": (conc_rec**2).sum(axis=0),
+        "genesis": genesis,
+        "rise": rise,
+        "events": [tuple(run) for run in events],
+        "corrections": corrections,
+        "clip_total": clip_total,
+        "n_clips": n_clips,
+    }
+
+
+def test_ensemble_chunk_matches_per_step_reference():
+    """The blocked chunk driver is bitwise a plain per-step loop: record
+    sums, genesis and rise times, events and health totals. n_steps = 260
+    is no multiple of the event block, and 300 runs leave a partial chunk."""
+    g = np.zeros((4, 4))
+    g[1, 2] = g[2, 1] = 0.7
+    cases = [
+        (SimConfig(k_ratio=1.0, duration=1.3, seed=19, record_stride=7, gamma=g), MIXED, -0.05),
+        (SimConfig(k_ratio=0.3, duration=2.6, seed=5), preset_state("sigma-boundary"), None),
+    ]
+    edge_steps = set()
+    for cfg, initial, thr in cases:
+        assert cfg.n_steps % _EVENT_BLOCK != 0
+        p0, y0 = initial.diag, float(initial.mat[1, 2].imag)
+        for lo, hi in ((0, 256), (256, 300)):
+            args = (cfg, p0, y0, lo, hi, thr)
+            ref = _stepped_ensemble(args)
+            got = _ensemble_chunk(args)
+            for key in ("lam_sum", "lam_sumsq", "conc_sum", "conc_sumsq", "genesis", "rise"):
+                assert np.array_equal(got[key], ref[key], equal_nan=True), key
+            assert got["events"] == ref["events"]
+            for key in ("corrections", "clip_total", "n_clips"):
+                assert got[key] == ref[key], key
+            assert ref["n_clips"] > 0
+            edge_steps |= {ev.step % _EVENT_BLOCK for run in ref["events"] for ev in run}
+    # events on the first step of a block (from k0 to k0 + 1) and on its last
+    assert {1, 0} <= edge_steps
+
+
+def test_ensemble_divergence_names_step(monkeypatch):
+    """With a vanishing clip floor the first repair is a divergence: an
+    ensemble of one names its run range and the step simulate names."""
+    monkeypatch.setattr(trajectory, "clip_floor", lambda cfg: 1e-300)
+    monkeypatch.setattr(ensemble, "clip_floor", lambda cfg: 1e-300)
+    cfg = SimConfig(k_ratio=0.3, duration=3.0, seed=8)
+    with pytest.raises(DivergenceError) as single:
+        simulate(cfg, MIXED)
+    step = int(re.match(r"step (\d+): ", str(single.value)).group(1))
+    assert step > 1
+    with pytest.raises(DivergenceError) as batch:
+        run_ensemble(cfg, MIXED, 1)
+    assert re.match(
+        rf"runs \[0, 1\) at step {step}: eigenvalue .* below the clip floor -1e-300: ",
+        str(batch.value),
+    )
 
 
 def test_ensemble_seed_sensitivity():

@@ -279,7 +279,8 @@ def test_class_path_positivity_is_exact():
 def test_simulate_lane_equals_batch_of_one():
     """simulate's one-lane class kernel is bitwise advance_class at n = 1:
     recorded states, currents and the health totals, over the regimes, an
-    environment rate, a record stride and a start with y != 0."""
+    environment rate, a record stride, a start with y != 0 and a Bell-state
+    start, whose lane never reaches the repair."""
     g = np.zeros((4, 4))
     g[1, 2] = g[2, 1] = 0.7
     cases = [
@@ -289,6 +290,7 @@ def test_simulate_lane_equals_batch_of_one():
         (SimConfig(k_ratio=1.0, duration=1.0, seed=4, gamma=g), MIXED),
         (SimConfig(k_ratio=2.0, duration=1.0, seed=6, record_stride=7), MIXED),
         (SimConfig(k_ratio=1.0, duration=1.0, seed=2), preset_state("sigma-boundary")),
+        (SimConfig(k_ratio=1.0, duration=2.0, seed=9), preset_state("bell-u4")),
     ]
     assert preset_state("sigma-boundary").mat[1, 2].imag != 0.0
     repairs = 0
@@ -306,6 +308,28 @@ def test_simulate_lane_equals_batch_of_one():
         assert (rec.trace_correction_total, rec.clip_total, rec.n_clips) == totals
         repairs += rec.n_clips
     assert repairs > 0
+
+
+def test_lane_path_skips_repair_on_empty_u2_u3_block(monkeypatch):
+    """From u1 or u4 the u2-u3 block stays exactly empty, so the lane
+    prefilter clears every step without the repair; from the mixed state
+    the same counter sees repairs."""
+    calls = []
+    repair = trajectory._ClassLanes.repair
+
+    def counting(self, floor):
+        calls.append(floor)
+        return repair(self, floor)
+
+    monkeypatch.setattr(trajectory._ClassLanes, "repair", counting)
+    cfg = SimConfig(k_ratio=1.0, duration=2.0, seed=6)
+    for name in ("bell-u1", "bell-u4"):
+        rec = simulate(cfg, preset_state(name))
+        assert rec.n_clips == 0 and rec.clip_total == 0.0
+        assert np.all(rec.lam == 1.0)
+    assert calls == []
+    simulate(cfg, MIXED)
+    assert calls
 
 
 def test_noise_calibration():

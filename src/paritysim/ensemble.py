@@ -29,12 +29,11 @@ from .fpt import (
 )
 from .qstate import DensityMatrix, DivergenceError
 from .trajectory import (
-    _NOISE_BLOCK,
-    C_NOISE,
     SimConfig,
     TrajectoryRecord,
     _ClassLanes,
-    _drive_coefficients,
+    _record_steps,
+    _step_blocks,
     clip_floor,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 _CHUNK = 256      # fixed batching unit; --jobs maps chunks to processes
-_EVENT_BLOCK = 128  # steps per evaluation of the branch maximum and events
 _X_TOL = 1e-9
 
 
@@ -79,7 +77,9 @@ def events_from_series(times: np.ndarray, lam: np.ndarray) -> list[BorderEvent]:
 
     Entangled means lam > 0. The first positive-going crossing of a run
     that started unentangled is genesis; later positive-going crossings
-    are sudden births, negative-going ones sudden deaths.
+    are sudden births, negative-going ones sudden deaths. No program path
+    calls it: it is the reference for ensemble events in
+    test_ensemble_of_one_equals_single_trajectory.
     """
     times = np.asarray(times, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -103,7 +103,8 @@ def events_from_series(times: np.ndarray, lam: np.ndarray) -> list[BorderEvent]:
 
 
 def detect_events(record: TrajectoryRecord) -> list[BorderEvent]:
-    """Events of a recorded trajectory, at the record grid's resolution."""
+    """Events of a recorded trajectory, at the record grid's resolution; the
+    reference for ensemble events in test_ensemble_of_one_equals_single_trajectory."""
     return events_from_series(record.times, record.lam)
 
 
@@ -214,114 +215,74 @@ class EnsembleStats:
             fh.write("\n")
 
 
-def _noise_generators(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
-    return [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        for i in range(lo, hi)
-    ]
-
-
 def _ensemble_chunk(args) -> dict:
     """Runs [lo, hi): the batched mirror of trajectory.simulate.
 
     The lanes step in place on the batch class kernel (_ClassLanes), which
-    is bitwise the one-lane stepper of simulate, on noise drawn per run
-    _NOISE_BLOCK steps at a time and scaled in place to a = xi dt / S0.
-    Each step's state is copied into a block of _EVENT_BLOCK + 1 states.
-    At the end of a block the branch maximum is evaluated once for all of
-    them, and the record columns, border events and rise times of the
-    block are found with array operations. The interpolation expressions
-    are those of events_from_series, so an ensemble of one reproduces
-    detect_events exactly.
+    is bitwise the one-lane stepper of simulate, through simulate's
+    stepping loop trajectory._step_blocks. At the end of each block of
+    steps the branch maximum is evaluated once for all of its states, and
+    the record columns, border events and rise times of the block are
+    found with array operations. The interpolation expressions are those
+    of events_from_series, so an ensemble of one reproduces detect_events
+    exactly.
     """
     cfg, p0, y0, lo, hi, rise_threshold = args
-    n = hi - lo
-    n_steps = cfg.n_steps
-    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
-    n_rec = len(rec_steps)
-    rec_at = np.asarray(rec_steps)
-    dt, s0 = cfg.dt, cfg.s0
-    sigma = math.sqrt(C_NOISE * s0 / dt)
-    floor = clip_floor(cfg)
-    coef = _drive_coefficients(dt, s0, cfg.delta, cfg.gamma[1, 2])
-
-    gens = _noise_generators(cfg.seed, lo, hi)
-    a_block = np.empty((_NOISE_BLOCK, n))   # step-major: a step reads one row
+    n, dt = hi - lo, cfg.dt
+    rec_at = _record_steps(cfg)
     lanes = _ClassLanes(n).load(p0, y0)
-    states = np.empty((_EVENT_BLOCK + 1, 5, n))
-    states[0] = lanes.s
-    lam_rec = np.empty((n, n_rec))
+    advance = lanes.stepper(cfg, clip_floor(cfg))
+    lam_rec = np.empty((n, rec_at.size))
     genesis = np.full(n, np.nan)
     genesis_seen: list[bool] = []
     rise = np.full(n, np.nan)
     events: list[list[BorderEvent]] = [[] for _ in range(n)]
-    corrections = 0.0
-    clip_total = 0.0
-    n_clips = 0
     slot = 0
-    k0 = 0
-    while k0 < n_steps:
-        k1 = min(k0 + _EVENT_BLOCK, n_steps)
-        # _EVENT_BLOCK divides _NOISE_BLOCK, so noise blocks start on event blocks
-        if k0 % _NOISE_BLOCK == 0:
-            for j, g in enumerate(gens):
-                a_block[:, j] = g.normal(0.0, sigma, _NOISE_BLOCK)
-            a_block *= dt / s0
-        for k in range(k0, k1):
-            try:
-                corr, clipped, n_c = lanes.advance(a_block[k % _NOISE_BLOCK], coef, floor)
-            except DivergenceError as exc:
-                raise DivergenceError(f"runs [{lo}, {hi}) at step {k + 1}: {exc}") from None
-            corrections += corr
-            clip_total += clipped
-            n_clips += n_c
-            states[k + 1 - k0] = lanes.s
+    try:
+        for k0, blk, _, health in _step_blocks(cfg, lo, hi, lanes.s, advance):
+            # row i of the block is step k0 + i
+            k1 = k0 + len(blk) - 1
+            l1, l2, l3 = lambda_branch_values(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
+            lam = np.maximum(np.maximum(l1, l2), l3)
+            if k0 == 0:
+                genesis_seen = (lam[0] > 0.0).tolist()
+                if rise_threshold is not None:
+                    rise[lam[0] > rise_threshold] = 0.0
+            stop = int(np.searchsorted(rec_at, k1, side="right"))
+            lam_rec[:, slot:stop] = lam[rec_at[slot:stop] - k0].T
+            slot = stop
 
-        # row i of the block is step k0 + i
-        blk = states[: k1 - k0 + 1]
-        l1, l2, l3 = lambda_branch_values(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
-        lam = np.maximum(np.maximum(l1, l2), l3)
-        if k0 == 0:
-            genesis_seen = (lam[0] > 0.0).tolist()
-            if rise_threshold is not None:
-                rise[lam[0] > rise_threshold] = 0.0
-        stop = int(np.searchsorted(rec_at, k1, side="right"))
-        lam_rec[:, slot:stop] = lam[rec_at[slot:stop] - k0].T
-        slot = stop
-
-        ent = lam > 0.0
-        # lane j crosses within step k = k0 + 1 + i, from t0 to t1, in
-        # event (i, j); events come in step order, as step by step
-        i, j = np.nonzero(ent[1:] != ent[:-1])
-        k = k0 + 1 + i
-        t0, t1 = (k - 1) * dt, k * dt
-        before, after = lam[i, j], lam[i + 1, j]
-        t_star = t0 + (t1 - t0) * (before / (before - after))
-        ups = ent[i + 1, j].tolist()
-        for jj, kk, tt, up in zip(j.tolist(), k.tolist(), t_star.tolist(), ups):
-            if up:
-                if genesis_seen[jj]:
-                    kind = EventKind.SUDDEN_BIRTH
-                else:
-                    kind = EventKind.GENESIS
-                    genesis[jj] = tt
-                    genesis_seen[jj] = True
-            else:
-                kind = EventKind.SUDDEN_DEATH
-            events[jj].append(BorderEvent(tt, kind, kk))
-        if rise_threshold is not None:
-            # the first step of the block that ends above the threshold
-            above = lam[1:] > rise_threshold
-            (j,) = np.nonzero(np.isnan(rise) & above.any(axis=0))
-            i = above[:, j].argmax(axis=0)
+            ent = lam > 0.0
+            # lane j crosses within step k = k0 + 1 + i, from t0 to t1, in
+            # event (i, j); events come in step order, as step by step
+            i, j = np.nonzero(ent[1:] != ent[:-1])
             k = k0 + 1 + i
             t0, t1 = (k - 1) * dt, k * dt
             before, after = lam[i, j], lam[i + 1, j]
-            rise[j] = t0 + (t1 - t0) * ((rise_threshold - before) / (after - before))
-        states[0] = states[k1 - k0]
-        k0 = k1
+            t_star = t0 + (t1 - t0) * (before / (before - after))
+            ups = ent[i + 1, j].tolist()
+            for jj, kk, tt, up in zip(j.tolist(), k.tolist(), t_star.tolist(), ups):
+                if up:
+                    if genesis_seen[jj]:
+                        kind = EventKind.SUDDEN_BIRTH
+                    else:
+                        kind = EventKind.GENESIS
+                        genesis[jj] = tt
+                        genesis_seen[jj] = True
+                else:
+                    kind = EventKind.SUDDEN_DEATH
+                events[jj].append(BorderEvent(tt, kind, kk))
+            if rise_threshold is not None:
+                # the first step of the block that ends above the threshold
+                above = lam[1:] > rise_threshold
+                (j,) = np.nonzero(np.isnan(rise) & above.any(axis=0))
+                i = above[:, j].argmax(axis=0)
+                k = k0 + 1 + i
+                t0, t1 = (k - 1) * dt, k * dt
+                before, after = lam[i, j], lam[i + 1, j]
+                rise[j] = t0 + (t1 - t0) * ((rise_threshold - before) / (after - before))
+    except DivergenceError as exc:
+        raise DivergenceError(f"runs [{lo}, {hi}) at {exc}") from None
 
     conc_rec = np.maximum(lam_rec, 0.0)
     return {
@@ -332,10 +293,10 @@ def _ensemble_chunk(args) -> dict:
         "genesis": genesis,
         "rise": rise,
         "events": [tuple(run) for run in events],
-        "corrections": corrections,
-        "clip_total": clip_total,
-        "n_clips": n_clips,
-        "times": np.asarray(rec_steps, dtype=float) * dt,
+        "corrections": health[0],
+        "clip_total": health[1],
+        "n_clips": health[2],
+        "times": rec_at * dt,
     }
 
 
@@ -474,11 +435,12 @@ def _crossing_chunk(args) -> dict:
     every step whatever the block size or the other runs of the chunk.
     """
     seed, p0, lo, hi, thr, dt1, tau_max = args
-    noise_gens = _noise_generators(seed, lo, hi)
-    bridge_gens = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)))
-        for i in range(lo, hi)
-    ]
+
+    def streams(*key):
+        return [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, *key)))
+                for i in range(lo, hi)]
+
+    noise_gens, bridge_gens = streams(), streams(1)
 
     def draw(k0, k1, alive):
         xi = np.empty((k1 - k0, alive.size))

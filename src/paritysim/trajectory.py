@@ -23,18 +23,21 @@ each step and logs the (rounding-level) corrections.
 States on the closed class (rho_14 = 0, rho_23 purely imaginary) are
 integrated as five real numbers per lane, with positivity tested and
 projected in closed form on the exact spectrum; the (n, 4, 4) kernel
-step_batch with the polynomial trigger psd_violations and the eigh repair
-clip_negative_eigenvalues serves states off the class.
+step_batch, with the eigh projection clip_negative_eigenvalues, serves
+states off the class.
 
 The batch class kernel is _ClassLanes: n lanes held as one (5, n) row
 array p1, p2, p3, p4, y and stepped in place through scratch rows made
-once. Ensembles run it directly; class_step, class_repair and
-advance_class are wrappers that convert (n, 4) populations to the rows
-and back. A single trajectory steps its one lane on Python floats
+once. A single trajectory steps its one lane on Python floats
 (_lane_stepper), which makes the same float operations in the same order
 as the batch kernel and hands every lane near the positivity boundary to
 the kernel's repair at n = 1, so the two agree bit for bit. A change to
 the class step (a split-step integrator, say) must change both together.
+
+One loop, _step_blocks, steps every state: it draws each run's noise,
+applies the caller's state update and hands back blocks of _EVENT_BLOCK
+steps. simulate records from the blocks, and the ensemble chunks reduce
+them to branch values and border events.
 """
 
 from __future__ import annotations
@@ -51,13 +54,8 @@ __all__ = [
     "C_NOISE",
     "SimConfig",
     "TrajectoryRecord",
-    "hamiltonian",
     "simulate",
     "step_batch",
-    "class_step",
-    "class_repair",
-    "advance_class",
-    "psd_violations",
     "clip_negative_eigenvalues",
     "clip_floor",
     "hermitize",
@@ -79,6 +77,7 @@ _DEC8 = (_I[:, None] - _I[None, :]) ** 2 / 8.0
 # runtime-drift allowance, looser than the analytic class_tol
 _RECORD_CLASS_TOL = 1e-7
 _NOISE_BLOCK = 4096
+_EVENT_BLOCK = 128  # steps per block of _step_blocks; divides _NOISE_BLOCK
 _CSV_BLOCK = 512
 _CLASS_PATTERN = np.eye(4, dtype=bool)
 _CLASS_PATTERN[1, 2] = _CLASS_PATTERN[2, 1] = True
@@ -114,8 +113,8 @@ class SimConfig:
             raise ValueError("duration must be positive")
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
         cap = min(self.t_q, self.t_m)
         if self.dt is None:
             object.__setattr__(self, "dt", cap / 200.0)
@@ -155,15 +154,6 @@ class SimConfig:
         return max(1, int(round(self.duration / self.dt)))
 
 
-def hamiltonian(delta: float) -> np.ndarray:
-    """Bell-basis Hamiltonian: the tunnel coupling connects only u2 and u3."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    h = np.zeros((4, 4))
-    h[1, 2] = h[2, 1] = delta
-    return h
-
-
 def hermitize(rho: np.ndarray) -> np.ndarray:
     """(rho + rho^dagger)/2 over a (..., 4, 4) batch."""
     return 0.5 * (rho + np.conjugate(np.swapaxes(rho, -1, -2)))
@@ -197,40 +187,6 @@ def step_batch(
     return rho + drho - 1j * delta * dt * comm
 
 
-def psd_violations(rho: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of batch members whose smallest eigenvalue is < -tol.
-
-    Uses the elementary symmetric polynomials of rho + tol*I via Newton's
-    identities instead of an eigendecomposition: a Hermitian matrix is PSD
-    iff all four are nonnegative. A small rounding slack keeps exact-zero
-    eigenvalues from flagging.
-
-    Resolution limit: when several eigenvalues sit near zero at once
-    (strongly purified states), the polynomial values scale with their
-    products and a negative eigenvalue can hide below the slack. The
-    worst unflagged spectrum has the form (1 - 6y, 2y, 2y, -y) where e3
-    cancels exactly and e4 = 4y^3 must clear the slack, so the hard
-    floor is (slack/4)^(1/3), about 6e-5. States that pass are
-    therefore guaranteed PSD only to -1e-4; the measured leak over
-    10^3 mixed-start runs across all regimes stays under 3e-6.
-    """
-    r2 = rho @ rho
-    p1 = np.real(np.einsum("nii->n", rho)) + 4.0 * tol
-    q2 = np.real(np.einsum("nij,nji->n", rho, rho))
-    q3 = np.real(np.einsum("nij,nji->n", r2, rho))
-    q4 = np.real(np.einsum("nij,nji->n", r2, r2))
-    t1 = np.real(np.einsum("nii->n", rho))
-    p2 = q2 + 2.0 * tol * t1 + 4.0 * tol**2
-    p3 = q3 + 3.0 * tol * q2 + 3.0 * tol**2 * t1 + 4.0 * tol**3
-    p4 = q4 + 4.0 * tol * q3 + 6.0 * tol**2 * q2 + 4.0 * tol**3 * t1 + 4.0 * tol**4
-    e1 = p1
-    e2 = (e1 * p1 - p2) / 2.0
-    e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
-    e4 = (e3 * p1 - e2 * p2 + e1 * p3 - p4) / 4.0
-    slack = -1e-12
-    return (e1 < slack) | (e2 < slack) | (e3 < slack) | (e4 < slack)
-
-
 def clip_negative_eigenvalues(
     rho: np.ndarray, floor: float
 ) -> tuple[np.ndarray, float, int]:
@@ -241,12 +197,13 @@ def clip_negative_eigenvalues(
     pushes a vanishing population through zero by up to ~2 delta dt |rho_23|
     per step); left unprojected, the negative weight compounds
     multiplicatively under the measurement terms and the run blows up.
-    Eigenvalues in [-floor, 0) are clipped to zero and the state
-    renormalized; anything below -floor raises DivergenceError. Modifies
-    rho in place on the flagged members and returns
+    Members whose smallest eigenvalue is below -1e-12 are flagged; their
+    eigenvalues in [-floor, 0) are clipped to zero and the state
+    renormalized, and anything below -floor raises DivergenceError.
+    Modifies rho in place on the flagged members and returns
     (rho, total clipped magnitude, number of members clipped).
     """
-    flagged = psd_violations(rho, 1e-12)
+    flagged = np.linalg.eigvalsh(rho)[:, 0] < -1e-12
     if not flagged.any():
         return rho, 0.0, 0
     idx = np.nonzero(flagged)[0]
@@ -317,8 +274,8 @@ class _ClassLanes:
     scratch rows and every view the step uses are made here once, and each
     ufunc writes through out=; rows that share an operation take one call.
     The float operations and their order are those of the formulas in the
-    docstrings of class_step and class_repair, so every lane is bitwise
-    what _lane_stepper makes of it.
+    docstrings of drive and repair, so every lane is bitwise what
+    _lane_stepper makes of it.
     """
 
     def __init__(self, n: int):
@@ -352,7 +309,14 @@ class _ClassLanes:
         return self.s[:4].T.copy(), self.s[4].copy()
 
     def drive(self, a: np.ndarray, coef) -> None:
-        """class_step in place, with a = xi dt / S0 per lane."""
+        """step_batch on the closed class, with a = xi dt / S0 per lane.
+
+        With m = (p1 + p2) - (p3 + p4) the mean current: p_i *= 1 + a (I_i
+        - m); the drive moves 2 delta dt y from u2 to u3; y becomes
+        y (1 - m a - (1/(2 S0) + gamma23) dt) + delta dt (p2 - p3), decaying
+        at the measurement rate and fed by the drive. The trace is left for
+        renormalize.
+        """
         flow_c, feed_c, decay_c = coef
         s, m, fac, flow, feed, yfac = self.s, self.m, self.fac, self.flow, self.feed, self.yfac
         np.add(self.firsts, self.seconds, out=self.pair)  # p1 + p2, p3 + p4
@@ -386,7 +350,16 @@ class _ClassLanes:
         return float(dev.sum())
 
     def repair(self, floor: float) -> tuple[float, int]:
-        """class_repair in place; returns (clipped magnitude, lanes clipped)."""
+        """Closed-form positivity projection of the lanes.
+
+        The spectrum of a class state is p1, p4 and l+- = h +- r, with
+        h = (p2 + p3)/2 and r = hypot((p2 - p3)/2, y). Lanes whose smallest
+        of p1, p4 and l- is below -_CLASS_SLACK get every negative eigenvalue
+        clipped to zero, keeping the eigenvectors, and are renormalized: the
+        projection clip_negative_eigenvalues makes with eigh. Other lanes
+        stay unchanged. An eigenvalue below -floor raises DivergenceError.
+        Returns (clipped magnitude, lanes clipped).
+        """
         s, hd, r, spec, low = self.s, self.hd, self.r, self.spec, self.low
         np.add(s[1], s[2], out=hd[0])
         np.subtract(s[1], s[2], out=hd[1])
@@ -441,68 +414,21 @@ class _ClassLanes:
         dev = self.renormalize()
         return (dev, *self.repair(floor))
 
-
-def class_step(
-    p: np.ndarray,
-    y: np.ndarray,
-    xi: np.ndarray,
-    dt: float,
-    s0: float,
-    delta: float,
-    gamma23: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """step_batch on the closed class, returning new (p, y), p of shape
-    (n, 4).
-
-    With a = xi dt / S0 and m = (p1 + p2) - (p3 + p4) the mean current:
-    p_i *= 1 + a (I_i - m); the drive moves 2 delta dt y from u2 to u3; y
-    becomes y (1 - m a - (1/(2 S0) + gamma23) dt) + delta dt (p2 - p3),
-    decaying at the measurement rate and fed by the drive. The trace is
-    left for the caller to renormalize.
-    """
-    lanes = _ClassLanes(len(y)).load(p, y)
-    lanes.drive(xi * (dt / s0), _drive_coefficients(dt, s0, delta, gamma23))
-    return lanes.unload()
-
-
-def class_repair(
-    p: np.ndarray, y: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Closed-form positivity projection of class lanes.
-
-    The spectrum of a class state is p1, p4 and l+- = h +- r, with
-    h = (p2 + p3)/2 and r = hypot((p2 - p3)/2, y). Lanes whose smallest of
-    p1, p4 and l- is below -_CLASS_SLACK get every negative eigenvalue
-    clipped to zero, keeping the eigenvectors, and are renormalized: the
-    projection clip_negative_eigenvalues makes with eigh. Other lanes are
-    returned unchanged. An eigenvalue below -floor raises DivergenceError.
-    Returns (p, y, total clipped magnitude, number of lanes clipped).
-    """
-    lanes = _ClassLanes(len(y)).load(p, y)
-    clipped, n_c = lanes.repair(floor)
-    return (*lanes.unload(), clipped, n_c)
-
-
-def advance_class(
-    p: np.ndarray, y: np.ndarray, xi: np.ndarray, cfg: SimConfig, floor: float
-) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """One integrator step of class lanes: class_step, the trace check,
-    renormalization of all five rows by tr = ((p1 + p2) + p3) + p4 and
-    class_repair.
-
-    Returns (p, y, sum of |tr - 1| over lanes, clipped magnitude, lanes
-    clipped).
-    """
-    lanes = _ClassLanes(len(y)).load(p, y)
-    coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
-    dev, clipped, n_c = lanes.advance(xi * (cfg.dt / cfg.s0), coef, floor)
-    return (*lanes.unload(), dev, clipped, n_c)
+    def stepper(self, cfg: SimConfig, floor: float):
+        """The state update _step_blocks applies to these lanes: advance on
+        the scaled draws, with the rows s as the state."""
+        per_xi = cfg.dt / cfg.s0
+        coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+        return lambda s, xi: (s, *self.advance(xi * per_xi, coef, floor))
 
 
 def _advance_full(
     rho: np.ndarray, xi: np.ndarray, cfg: SimConfig, floor: float
 ) -> tuple[np.ndarray, float, float, int]:
-    """advance_class for (n, 4, 4) states off the closed class."""
+    """One integrator step of (n, 4, 4) states off the closed class:
+    step_batch, hermitize, the trace check and renormalization, and
+    clip_negative_eigenvalues. Returns (rho, sum of |tr - 1|, clipped
+    magnitude, members clipped)."""
     rho = hermitize(step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma))
     tr = np.real(np.einsum("nii->n", rho))
     dev = _trace_deviation(tr)
@@ -525,14 +451,14 @@ _LANE_MARGIN = 1e-12
 
 
 def _lane_stepper(cfg: SimConfig, floor: float):
-    """advance_class for a single lane held as five Python floats.
+    """_ClassLanes.advance for a single lane held as five Python floats.
 
     Returns advance(lane, xi) -> (lane, |tr - 1|, clipped magnitude, lanes
-    clipped), with lane = (p1, p2, p3, p4, y). The float operations and
-    their order are those of _ClassLanes.drive and renormalize. A bad
-    trace raises through _trace_deviation, and lanes the prefilter above
-    cannot clear go to the repair of a one-lane _ClassLanes, which alone
-    decides and makes a repair.
+    clipped), with lane = (p1, p2, p3, p4, y) and xi a one-element array.
+    The float operations and their order are those of _ClassLanes.drive
+    and renormalize. A bad trace raises through _trace_deviation, and lanes
+    the prefilter above cannot clear go to the repair of a one-lane
+    _ClassLanes, which alone decides and makes a repair.
     """
     per_xi = cfg.dt / cfg.s0
     flow_c, feed_c, decay_c = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
@@ -542,7 +468,7 @@ def _lane_stepper(cfg: SimConfig, floor: float):
     def advance(lane, xi):
         p1, p2, p3, p4, y = lane
         m = (p1 + p2) - (p3 + p4)
-        a = xi * per_xi
+        a = xi.item() * per_xi
         even = 1.0 + a * (1.0 - m)
         odd = 1.0 + a * (-1.0 - m)
         flow = flow_c * y
@@ -664,6 +590,59 @@ def _record_entanglement(states: np.ndarray):
     return lam1, lam2, lam3, lam, conc
 
 
+def _record_steps(cfg: SimConfig) -> np.ndarray:
+    """Steps of the record grid: every record_stride-th step and the last."""
+    steps = np.arange(0, cfg.n_steps + 1, cfg.record_stride)
+    return steps if steps[-1] == cfg.n_steps else np.append(steps, cfg.n_steps)
+
+
+def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance):
+    """The one stepping loop: runs [lo, hi) from state over cfg.n_steps.
+
+    advance(state, xi) -> (state, sum of |tr - 1|, clipped magnitude, lanes
+    clipped) makes one step on xi, one draw per run. Run i draws from
+    SeedSequence(cfg.seed, spawn_key=(i,)), _NOISE_BLOCK steps at a time,
+    held step-major. After each block of up to _EVENT_BLOCK steps from step
+    k0 this yields (k0, states, xi, health): states[i] is the state at step
+    k0 + i and xi[i] the draw at that step, from i = 0 to the block's end,
+    so the last xi row is the draw after the block's last step. Both are
+    views, valid until the next block. health is the running (sum of
+    |tr - 1|, clipped magnitude, lanes clipped). A DivergenceError is raised
+    again with the step it happened at.
+    """
+    n_steps = cfg.n_steps
+    sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
+    gens = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
+            for i in range(lo, hi)]
+    # one row more than a noise block: the draw after a block's last step
+    # is its own last row, and a refill carries it over into row 0
+    xi = np.zeros((_NOISE_BLOCK + 1, hi - lo))
+    first = np.asarray(state)
+    states = np.empty((_EVENT_BLOCK + 1, *first.shape), first.dtype)
+    states[0] = first
+    corrections = clip_total = 0.0
+    n_clips = 0
+    for k0 in range(0, n_steps, _EVENT_BLOCK):
+        at = k0 % _NOISE_BLOCK
+        if at == 0:
+            xi[0] = xi[_NOISE_BLOCK]
+            fresh = slice(1 if k0 else 0, min(_NOISE_BLOCK, n_steps - k0) + 1)
+            for j, g in enumerate(gens):
+                xi[fresh, j] = g.normal(0.0, sigma, fresh.stop - fresh.start)
+        n = min(_EVENT_BLOCK, n_steps - k0)
+        for i in range(n):
+            try:
+                state, corr, clipped, n_c = advance(state, xi[at + i])
+            except DivergenceError as exc:
+                raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
+            corrections += corr
+            clip_total += clipped
+            n_clips += n_c
+            states[i + 1] = state
+        yield k0, states[: n + 1], xi[at : at + n + 1], (corrections, clip_total, n_clips)
+        states[0] = states[n]
+
+
 def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     """Integrate one conditioned trajectory.
 
@@ -672,78 +651,56 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     would use. Records state, the instantaneous detector sample I(t_k) that
     drives the following step, the running time-averaged output, and the
     entanglement branch values every record_stride steps (the final step is
-    always recorded).
+    always recorded; its sample is the draw after the last step).
 
     An initial state exactly on the closed class runs on the one-lane class
     kernel (_lane_stepper): five Python floats per step, bitwise equal to
-    advance_class at n = 1 with the same noise (tested against a batch of
-    one). Any other state runs on the (n, 4, 4) kernel. The two paths
-    differ only in the state update; the noise block, the record grid, the
-    running integral and the recording are shared. A new class step (the
+    _ClassLanes at n = 1 with the same noise (tested against a batch of
+    one). Any other state runs on the (n, 4, 4) kernel. Both go through
+    _step_blocks; per block, the currents and the running integral come
+    from the block's states and draws with array operations, the integral
+    summed in step order by np.add.accumulate. A new class step (the
     planned split-step integrator) must change _lane_stepper and
     _ClassLanes together.
     """
-    n_steps = cfg.n_steps
-    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
-    n_rec = len(rec_steps)
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-    sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
+    dt = cfg.dt
     floor = clip_floor(cfg)
-
     on_class = _in_closed_class(initial.mat)
     if on_class:
         state = (*initial.diag.tolist(), float(initial.mat[1, 2].imag))
-        rec = np.empty((n_rec, 5))
         advance = _lane_stepper(cfg, floor)
     else:
         state = initial.mat[None, :, :].astype(np.complex128)
-        rec = np.empty((n_rec, 4, 4), dtype=np.complex128)
 
         def advance(rho, xi):
-            return _advance_full(rho, np.array([xi]), cfg, floor)
+            return _advance_full(rho, xi, cfg, floor)
 
-    times = np.asarray(rec_steps, dtype=float) * cfg.dt
-    rec_times = times.tolist()
-    currents = np.empty(n_rec)
-    integrated = np.empty(n_rec)
-
-    dt = cfg.dt
+    rec_at = _record_steps(cfg)
+    times = rec_at * dt
+    recs, currents, integrated = [], [], []
     isum = 0.0            # int I dt at full step resolution
-    corrections = 0.0
-    clip_total = 0.0
-    n_clips = 0
     slot = 0
-    block = []
-    b_at = 0
-    for k in range(n_steps + 1):
-        if b_at == len(block):
-            block = rng.normal(0.0, sigma, _NOISE_BLOCK).tolist()
-            b_at = 0
-        xi = block[b_at]
-        b_at += 1
-        pops = state if on_class else state[0].diagonal().real
-        current = float(pops[0] + pops[1] - pops[2] - pops[3]) + xi
-        if rec_steps[slot] == k:
-            rec[slot] = state
-            currents[slot] = current
-            integrated[slot] = isum / rec_times[slot] if k else 0.0
-            slot += 1
-            if slot == n_rec:
-                break
-        isum += current * dt
-        try:
-            state, corr, clipped, n_c = advance(state, xi)
-        except DivergenceError as exc:
-            raise DivergenceError(f"step {k + 1}: {exc}") from None
-        corrections += corr
-        clip_total += clipped
-        n_clips += n_c
+    for k0, blk, xi, health in _step_blocks(cfg, 0, 1, state, advance):
+        if not on_class:
+            blk = blk[:, 0]
+        pops = blk[:, :4] if on_class else blk.diagonal(0, 1, 2).real
+        current = (((pops[:, 0] + pops[:, 1]) - pops[:, 2]) - pops[:, 3]) + xi[:, 0]
+        # the integral at each step of the block: isum += current * dt
+        sums = np.add.accumulate(np.concatenate(([isum], current[:-1] * dt)))
+        isum = sums[-1]
+        stop = int(np.searchsorted(rec_at, k0 + len(blk) - 1, side="right"))
+        rows = rec_at[slot:stop] - k0
+        slot = stop
+        recs.append(blk[rows])
+        currents.append(current[rows])
+        integrated.append(sums[rows])
+    rec, currents = np.concatenate(recs), np.concatenate(currents)
+    integrated = np.concatenate(integrated)
+    integrated[1:] /= times[1:]   # [0] is the integral at t = 0, exactly 0
+    corrections, clip_total, n_clips = health
 
     if on_class:
-        states = np.zeros((n_rec, 4, 4), dtype=np.complex128)
+        states = np.zeros((len(rec), 4, 4), dtype=np.complex128)
         states.real[:, range(4), range(4)] = rec[:, :4]
         states.imag[:, 1, 2] = rec[:, 4]
         states.imag[:, 2, 1] = -rec[:, 4]

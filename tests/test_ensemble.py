@@ -18,14 +18,21 @@ from paritysim.ensemble import (
     genesis_histogram,
     run_ensemble,
     validate_against_analytics,
-    _EVENT_BLOCK,
     _crossing_chunk,
     _crossing_chunks,
     _ensemble_chunk,
 )
 from paritysim.fpt import DIFFUSION, ESCAPE, drift_offset
 from paritysim.qstate import DivergenceError, preset_state, sanitize
-from paritysim.trajectory import _NOISE_BLOCK, C_NOISE, SimConfig, advance_class, simulate
+from paritysim.trajectory import (
+    _EVENT_BLOCK,
+    _NOISE_BLOCK,
+    C_NOISE,
+    SimConfig,
+    _ClassLanes,
+    _drive_coefficients,
+    simulate,
+)
 
 MIXED = preset_state("mixed")
 
@@ -142,7 +149,7 @@ def test_ensemble_deterministic_and_jobs_invariant():
 def _stepped_ensemble(args):
     """Plain per-step transcription of _ensemble_chunk.
 
-    advance_class steps on each run's noise stream drawn _NOISE_BLOCK
+    _ClassLanes.advance steps on each run's noise stream drawn _NOISE_BLOCK
     values at a time, the branch maximum after every step, and the event
     and rise rules of events_from_series written out lane by lane.
     """
@@ -158,7 +165,9 @@ def _stepped_ensemble(args):
         for at in range(0, xi.shape[1], _NOISE_BLOCK):
             xi[j, at : at + _NOISE_BLOCK] = g.normal(0.0, sigma, _NOISE_BLOCK)
     floor = trajectory.clip_floor(cfg)
-    p, y = np.tile(p0, (n, 1)), np.full(n, y0)
+    coef = _drive_coefficients(dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+    lanes = _ClassLanes(n).load(p0, y0)
+    p, y = lanes.unload()
     lam_rec = np.empty((n, len(rec_steps)))
     genesis, rise = np.full(n, np.nan), np.full(n, np.nan)
     events = [[] for _ in range(n)]
@@ -192,7 +201,8 @@ def _stepped_ensemble(args):
         prev = lam
         if k == n_steps:
             break
-        p, y, corr, clipped, n_c = advance_class(p, y, xi[:, k], cfg, floor)
+        corr, clipped, n_c = lanes.advance(xi[:, k] * (dt / cfg.s0), coef, floor)
+        p, y = lanes.unload()
         corrections += corr
         clip_total += clipped
         n_clips += n_c

@@ -1,7 +1,11 @@
-"""Package-level checks: every name a module exports exists."""
+"""Package-level checks: every name a module exports, and every name the
+benchmark harness imports, exists."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +20,21 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"paritysim.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"paritysim.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_benchmark_imports_resolve():
+    """Every `from paritysim... import name` in perfbench/*.py names an
+    attribute that exists, so deleting a function the benchmark harness
+    imports fails here rather than in the harness."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    files = sorted(root.glob("*.py"))
+    assert files
+    missing = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "paritysim":
+                mod = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                            if not hasattr(mod, a.name)
+                            and importlib.util.find_spec(f"{node.module}.{a.name}") is None]
+    assert not missing, missing

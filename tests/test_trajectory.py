@@ -18,8 +18,15 @@ from conftest import random_closed_class_bell, random_density_bell
 from paritysim import fpt, trajectory
 from paritysim.cli import main
 from paritysim.concurrence import lambda_branch_values
-from paritysim.qstate import DensityMatrix, DivergenceError, make_state, preset_state
-from paritysim.trajectory import SimConfig, hamiltonian, simulate
+from paritysim.ensemble import detect_events, run_ensemble
+from paritysim.qstate import (
+    DensityMatrix,
+    DivergenceError,
+    make_state,
+    preset_state,
+    state_to_json,
+)
+from paritysim.trajectory import _EVENT_BLOCK, _NOISE_BLOCK, SimConfig, simulate
 
 
 def bell_diag(p1, p2, p3, p4):
@@ -36,32 +43,40 @@ def batch_lambda(p, y):
     return np.maximum(np.maximum(l1, l2), l3)
 
 
-def run_batch(cfg, initial, n_runs, n_steps, seed, checkpoints=()):
-    """Small ensemble driver on the closed-class kernel with per-run noise
-    streams; returns the final (p, y), the summed (trace corrections,
-    clipped magnitude, lanes clipped) and {step: (p, y)}."""
-    p = np.tile(initial.diag, (n_runs, 1))
-    y = np.full(n_runs, initial.mat[1, 2].imag)
-    sigma = math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        for i in range(n_runs)
-    ]
-    noise = np.empty((n_runs, n_steps))
-    for i, rng in enumerate(rngs):
-        noise[i] = rng.normal(0.0, sigma, n_steps)
+def hamiltonian(delta: float) -> np.ndarray:
+    """Bell-basis Hamiltonian, the reference for the elementwise
+    commutator of step_batch: the tunnel coupling connects only u2 and u3."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    h = np.zeros((4, 4))
+    h[1, 2] = h[2, 1] = delta
+    return h
+
+
+def class_lanes(p, y):
+    return trajectory._ClassLanes(len(y)).load(p, y)
+
+
+def lanes_advance(p, y, xi, cfg, floor):
+    """One step of class lanes (p, y) on draws xi on the batch kernel;
+    returns (p, y, sum of |tr - 1|, clipped magnitude, lanes clipped)."""
+    lanes = class_lanes(p, y)
+    _, *health = lanes.stepper(cfg, floor)(lanes.s, xi)
+    return (*lanes.unload(), *health)
+
+
+def run_batch(cfg, initial, n_runs, checkpoints=frozenset()):
+    """Small ensemble on the batch class kernel through simulate's stepping
+    loop, run i on the noise stream of ensemble run i; returns the final
+    (p, y), the summed (trace corrections, clipped magnitude, lanes
+    clipped) and {step: (p, y)} from the loop's blocks."""
+    lanes = trajectory._ClassLanes(n_runs).load(initial.diag, initial.mat[1, 2].imag)
+    advance = lanes.stepper(cfg, trajectory.clip_floor(cfg))
     grabbed = {}
-    floor = trajectory.clip_floor(cfg)
-    corrections = clip_total = 0.0
-    n_clips = 0
-    for k in range(n_steps):
-        p, y, corr, clipped, n_c = trajectory.advance_class(p, y, noise[:, k], cfg, floor)
-        corrections += corr
-        clip_total += clipped
-        n_clips += n_c
-        if k + 1 in checkpoints:
-            grabbed[k + 1] = (p.copy(), y.copy())
-    return (p, y), (corrections, clip_total, n_clips), grabbed
+    for k0, states, _, health in trajectory._step_blocks(cfg, 0, n_runs, lanes.s, advance):
+        for k in checkpoints & set(range(k0 + 1, k0 + len(states))):
+            grabbed[k] = (states[k - k0, :4].T.copy(), states[k - k0, 4].copy())
+    return lanes.unload(), health, grabbed
 
 
 def class_matrices(p, y):
@@ -139,9 +154,7 @@ def test_u1_projector_is_exact_fixed_point():
             U1.mat[None].astype(complex), np.array([xi]), cfg.dt, cfg.s0, cfg.delta, cfg.gamma
         )
         assert np.array_equal(out[0], U1.mat)
-        p, y, _, _, n_c = trajectory.advance_class(
-            U1.diag[None], np.zeros(1), np.array([xi]), cfg, floor
-        )
+        p, y, _, _, n_c = lanes_advance(U1.diag[None], np.zeros(1), np.array([xi]), cfg, floor)
         assert np.array_equal(p[0], U1.diag) and y[0] == 0.0 and n_c == 0
     rec = simulate(cfg, U1)
     assert np.all(rec.states == U1.mat)
@@ -229,7 +242,7 @@ def test_class_kernel_matches_4x4_path(rng):
     )
     rho /= np.real(np.einsum("nii->n", rho))[:, None, None]
     rho, total_4x4, n_4x4 = trajectory.clip_negative_eigenvalues(rho, floor)
-    p_new, y_new, _, total, n_c = trajectory.advance_class(p, y, xi, cfg, floor)
+    p_new, y_new, _, total, n_c = lanes_advance(p, y, xi, cfg, floor)
 
     assert n_4x4 >= 16  # the boundary lanes are exercised
     assert n_c == n_4x4
@@ -242,18 +255,17 @@ def test_class_subsystem_tracks_full_states(rng):
     of the 4x4 update follow the class kernel: the subsystem is closed."""
     cfg = SimConfig(k_ratio=1.0, duration=1.0)
     rho = np.array([random_density_bell(rng) for _ in range(32)])
-    p = np.real(np.einsum("nii->ni", rho))
-    y = np.imag(rho[:, 1, 2])
+    lanes = class_lanes(np.real(np.einsum("nii->ni", rho)), np.imag(rho[:, 1, 2]))
+    coef = trajectory._drive_coefficients(cfg.dt, cfg.s0, cfg.delta, 0.0)
     for _ in range(50):
         xi = rng.normal(0.0, math.sqrt(cfg.s0 / cfg.dt), rho.shape[0])
         rho = trajectory.hermitize(
             trajectory.step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
         )
         rho /= np.real(np.einsum("nii->n", rho))[:, None, None]
-        p, y = trajectory.class_step(p, y, xi, cfg.dt, cfg.s0, cfg.delta, 0.0)
-        tr = p.sum(axis=1)
-        p /= tr[:, None]
-        y /= tr
+        lanes.drive(xi * (cfg.dt / cfg.s0), coef)
+        lanes.renormalize()
+    p, y = lanes.unload()
     assert np.max(np.abs(np.real(np.einsum("nii->ni", rho)) - p)) <= 1e-14
     assert np.max(np.abs(np.imag(rho[:, 1, 2]) - y)) <= 1e-14
 
@@ -272,12 +284,12 @@ def test_class_path_positivity_is_exact():
     pops = np.real(np.einsum("nii->ni", rec.states))
     assert margins(pops, np.imag(rec.states[:, 1, 2])) >= -1e-15
     checkpoints = set(range(1, cfg.n_steps + 1, 7))
-    _, _, grabbed = run_batch(cfg, MIXED, 64, cfg.n_steps, 8, checkpoints)
+    _, _, grabbed = run_batch(cfg, MIXED, 64, checkpoints)
     assert min(margins(p, y) for p, y in grabbed.values()) >= -1e-15
 
 
 def test_simulate_lane_equals_batch_of_one():
-    """simulate's one-lane class kernel is bitwise advance_class at n = 1:
+    """simulate's one-lane class kernel is bitwise _ClassLanes at n = 1:
     recorded states, currents and the health totals, over the regimes, an
     environment rate, a record stride, a start with y != 0 and a Bell-state
     start, whose lane never reaches the repair."""
@@ -297,7 +309,7 @@ def test_simulate_lane_equals_batch_of_one():
     for cfg, initial in cases:
         rec = simulate(cfg, initial)
         steps = np.round(rec.times / cfg.dt).astype(int)
-        _, totals, grabbed = run_batch(cfg, initial, 1, cfg.n_steps, cfg.seed, set(steps))
+        _, totals, grabbed = run_batch(cfg, initial, 1, set(steps))
         p = np.array([initial.diag] + [grabbed[k][0][0] for k in steps[1:]])
         y = np.array([initial.mat[1, 2].imag] + [grabbed[k][1][0] for k in steps[1:]])
         assert np.array_equal(rec.states, class_matrices(p, y))
@@ -465,14 +477,14 @@ def test_parity_populations_martingale():
     n_steps = cfg.n_steps
     sigma = math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(1,)))
-    p = np.full((n_runs, 4), 0.25)
-    y = np.zeros(n_runs)
+    lanes = class_lanes(np.full(4, 0.25), np.zeros(n_runs))
+    coef = trajectory._drive_coefficients(cfg.dt, cfg.s0, 0.0, 0.0)
     checkpoints = {n_steps // 4, n_steps // 2, n_steps}
     for k in range(n_steps):
         xi = rng.normal(0.0, sigma, n_runs)
-        p, y = trajectory.class_step(p, y, xi, cfg.dt, cfg.s0, 0.0, 0.0)
+        lanes.drive(xi * (cfg.dt / cfg.s0), coef)
         if k + 1 in checkpoints:
-            p_odd = p[:, 2] + p[:, 3]
+            p_odd = lanes.s[2] + lanes.s[3]
             se = p_odd.std(ddof=1) / math.sqrt(n_runs)
             assert abs(p_odd.mean() - 0.5) < 3.0 * se + 1e-12
 
@@ -486,7 +498,7 @@ def test_step_size_convergence():
     for divider, seed in ((200, 101), (400, 102)):
         cfg = SimConfig(k_ratio=1.0, duration=1.0, dt=1.0 / divider, seed=seed)
         checkpoints = {cfg.n_steps // 4, cfg.n_steps // 2, cfg.n_steps}
-        _, _, grabbed = run_batch(cfg, MIXED, n_runs, cfg.n_steps, seed, checkpoints)
+        _, _, grabbed = run_batch(cfg, MIXED, n_runs, checkpoints)
         lam = {k * cfg.dt: batch_lambda(*v) for k, v in grabbed.items()}
         curves.append({t: v.mean() for t, v in lam.items()})
         ses.append({t: v.std(ddof=1) / math.sqrt(n_runs) for t, v in lam.items()})
@@ -499,7 +511,7 @@ def test_asymptotic_entanglement_recovery():
     """Weak coupling, long runs: the ensemble ends almost maximally
     entangled."""
     cfg = SimConfig(k_ratio=0.3, duration=20.0, seed=55)
-    (p, y), _, _ = run_batch(cfg, MIXED, 200, cfg.n_steps, 55)
+    (p, y), _, _ = run_batch(cfg, MIXED, 200)
     lam = batch_lambda(p, y)
     assert np.mean(np.maximum(lam, 0.0)) >= 0.9
 
@@ -549,6 +561,9 @@ def test_simconfig_validation():
         SimConfig(k_ratio=1.0, duration=1.0, gamma=np.eye(4))
     with pytest.raises(ValueError, match="stride"):
         SimConfig(k_ratio=1.0, duration=1.0, record_stride=0)
+    for seed in (1.5, 2.0, "3", -1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(k_ratio=1.0, duration=1.0, seed=seed)
     cfg = SimConfig(k_ratio=4.0, duration=1.0)
     assert cfg.t_q == pytest.approx(1.0)
     assert cfg.t_m == pytest.approx(0.25)
@@ -593,13 +608,52 @@ def test_divergence_names_step_and_clip_floor(tmp_path, monkeypatch, capsys):
     assert "clip floor" in capsys.readouterr().err
 
 
-def test_psd_violations_flags_bad_matrices():
-    good = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None]
-    assert not trajectory.psd_violations(good, 1e-9).any()
-    bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)[None]
-    assert trajectory.psd_violations(bad, 1e-9).all()
-    edge = np.diag([0.5, 0.5, 0.0, -0.5e-9]).astype(complex)[None]
-    assert not trajectory.psd_violations(edge, 1e-9).any()
+def test_off_class_positivity_on_exact_spectrum(tmp_path):
+    """Off the class the repair is triggered by the smallest eigvalsh
+    eigenvalue below -1e-12. These runs from the mixed state with
+    rho_14 = 0.01 once recorded eigenvalues down to -3e-6, which a
+    polynomial trigger let through and the recording then rejected; now
+    they complete with every recorded eigenvalue >= -1e-12, and so does
+    the CLI on such a state file."""
+    off_class = MIXED.mat.copy()
+    off_class[0, 3] = off_class[3, 0] = 0.01
+    initial = make_state(off_class, "bell")
+    for k_ratio, duration, seeds in ((30.0, 0.5, (1, 2, 6, 7)), (1.0, 3.0, (3,))):
+        for seed in seeds:
+            rec = simulate(SimConfig(k_ratio=k_ratio, duration=duration, seed=seed), initial)
+            assert np.linalg.eigvalsh(rec.states)[:, 0].min() >= -1e-12
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(initial))
+    rc = main(["trajectory", "--state", str(path), "--k", "1", "--duration", "3",
+               "--seed", "3", "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("n_steps", [3 * _EVENT_BLOCK, _NOISE_BLOCK, 2 * _NOISE_BLOCK])
+def test_driver_noise_at_block_edges(n_steps):
+    """At block-edge lengths simulate steps on draws 0 .. n_steps - 1 of the
+    spawn-key-0 stream (against a plain per-step loop of the lane stepper),
+    records currents that are the mean currents plus draws 0 .. n_steps,
+    the last one drawn after the last step, and an ensemble of one is
+    simulate."""
+    cfg = SimConfig(k_ratio=1.0, duration=n_steps / 200.0, dt=1.0 / 200.0, seed=5)
+    assert cfg.n_steps == n_steps
+    rec = simulate(cfg, MIXED)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
+    xi = rng.normal(0.0, math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt), n_steps + 1)
+    step = trajectory._lane_stepper(cfg, trajectory.clip_floor(cfg))
+    lanes = [(*MIXED.diag.tolist(), 0.0)]
+    for k in range(n_steps):
+        lanes.append(step(lanes[-1], xi[k : k + 1])[0])
+    lanes = np.array(lanes)
+    assert np.array_equal(np.real(np.einsum("nii->ni", rec.states)), lanes[:, :4])
+    assert np.array_equal(np.imag(rec.states[:, 1, 2]), lanes[:, 4])
+    mean_i = ((lanes[:, 0] + lanes[:, 1]) - lanes[:, 2]) - lanes[:, 3]
+    assert np.array_equal(rec.currents, mean_i + xi)
+    stats = run_ensemble(cfg, MIXED, 1)
+    assert np.array_equal(stats.times, rec.times)
+    assert np.array_equal(stats.avg_lambda, rec.lam)
+    assert list(stats.events[0]) == detect_events(rec)
 
 
 def test_csv_serialization(tmp_path):

@@ -1,9 +1,11 @@
 """Monte Carlo ensembles: many trajectories, border events, statistics.
 
 Runs are split into fixed chunks of _CHUNK consecutive run indices; each
-run draws its noise from its own derived stream
-SeedSequence(entropy=seed, spawn_key=(run,)), and chunk partial sums are
-merged in chunk order, so results are byte-identical for any worker
+ensemble run draws its noise from its own derived stream
+SeedSequence(entropy=seed, spawn_key=(run,)), each chunk of the
+measurement-only crossing kernel from one stream
+SeedSequence(entropy=seed, spawn_key=(chunk,)), and chunk partial sums
+are merged in chunk order, so results are byte-identical for any worker
 count. Border events (genesis, sudden death, sudden birth) are detected
 at full step resolution even when the averaged series is decimated.
 """
@@ -21,6 +23,7 @@ import numpy as np
 from .concurrence import lambda_branch_values
 from .fpt import (
     CrossingPrediction,
+    block_draws,
     diagonal_state,
     drift_offset,
     predict,
@@ -429,29 +432,19 @@ def _crossing_chunk(args) -> dict:
     steps the runs in blocks over the fine-then-coarse steps of
     fpt.walk_dts and resolves each crossing with fpt.bridge_step.
 
-    Every block draws its noise and bridge uniforms for the open runs
-    only, each run from its own two streams. A generator's output does not
-    depend on how its draws are split, so a run sees the same values at
-    every step whatever the block size or the other runs of the chunk.
+    The chunk draws from one generator,
+    SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)): each block takes
+    the normals, then the bridge uniforms, of the runs still open
+    (fpt.block_draws). A run's time is therefore a deterministic function
+    of the seed and its chunk, fixed by the _CHUNK boundaries whatever the
+    worker count; it also depends on the block schedule and on the other
+    runs of the chunk, so a partial last chunk draws differently from a
+    full one.
     """
     seed, p0, lo, hi, thr, dt1, tau_max = args
-
-    def streams(*key):
-        return [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, *key)))
-                for i in range(lo, hi)]
-
-    noise_gens, bridge_gens = streams(), streams(1)
-
-    def draw(k0, k1, alive):
-        xi = np.empty((k1 - k0, alive.size))
-        unif = np.empty_like(xi)
-        for r, j in enumerate(alive):
-            xi[:, r] = noise_gens[j].standard_normal(k1 - k0)
-            unif[:, r] = bridge_gens[j].random(k1 - k0)
-        return xi, unif
-
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)))
     c = np.full(hi - lo, drift_offset(p0[0] + p0[1], p0[2] + p0[3]))
-    times, n_open = walk_first_passage(c, thr, walk_dts(thr, dt1, tau_max), draw)
+    times, n_open = walk_first_passage(c, thr, walk_dts(thr, dt1, tau_max), block_draws(rng))
     return {"times": times, "n_open": n_open}
 
 

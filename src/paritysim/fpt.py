@@ -41,6 +41,8 @@ __all__ = [
     "predict",
     "drift_offset",
     "bridge_step",
+    "hit_fraction",
+    "block_draws",
     "walk_dts",
     "walk_first_passage",
     "walk_crossing_times",
@@ -381,24 +383,30 @@ def bridge_step(g0, g1, thr: float, side: float, dt, u):
     crossing. Elementwise over broadcastable arrays, so the same rule
     serves one step of many walks or many steps of many walks.
 
-    Returns (crossed, frac, retire): the crossed mask, the crossing time
-    as a fraction of the step (meaningful where crossed), and the mask of
-    walks that leave (crossed or escaped).
+    Returns (crossed, retire): the crossed mask and the mask of walks that
+    leave (crossed or escaped). hit_fraction places a crossing in its step.
     """
     d0 = g0 - thr
     d1 = g1 - thr
     b = side * d1
-    direct = b >= 0.0
     # a b = d0 d1 exactly; -d0 d1 > 0 only on a step that straddles thr,
     # which is direct anyway
-    crossed = direct | (u < np.exp(-(d0 * d1) / (DIFFUSION * dt)))
+    crossed = (b >= 0.0) | (u < np.exp(-(d0 * d1) / (DIFFUSION * dt)))
+    retire = crossed | (b < -ESCAPE)
+    return crossed, retire
+
+
+def hit_fraction(g0, g1, thr: float, side: float):
+    """Time of a bridge_step crossing as a fraction of its step g0 -> g1:
+    the linear-interpolation zero for a direct hit, mid-step for a bridge
+    crossing. Elementwise, meant for the crossed steps only."""
+    d0 = g0 - thr
+    direct = side * (g1 - thr) >= 0.0
     # d0 / (g0 - g1) is (thr - g0) / (g1 - g0) to the bit, in (0, 1] on a
-    # live direct hit since rounding is monotone; only lanes that are not
+    # live direct hit since rounding is monotone; only steps that are not
     # direct can divide by zero, and those get 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(direct, d0 / (g0 - g1), 0.5)
-    retire = crossed | (b < -ESCAPE)
-    return crossed, frac, retire
+        return np.where(direct, d0 / (g0 - g1), 0.5)
 
 
 def _tau_bulk(thr: float) -> float:
@@ -421,6 +429,20 @@ def walk_dts(thr: float, dt1: float, tau_max: float) -> np.ndarray:
     return np.concatenate([np.full(n1, dt1), np.full(n2, dt2)])
 
 
+def block_draws(rng: np.random.Generator):
+    """walk_first_passage draw callback on one generator: each block takes
+    rng.standard_normal((k1 - k0, alive.size)) for the open walks, then
+    rng.random of the same shape. A walk's values therefore depend on the
+    block schedule (_FIRST_BLOCK doubling to _BLOCK) and on which other
+    walks of the generator are still open, not on the walk alone."""
+
+    def draw(k0, k1, alive):
+        shape = (k1 - k0, alive.size)
+        return rng.standard_normal(shape), rng.random(shape)
+
+    return draw
+
+
 def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
     """First passage across thr of walks dg = (tanh(g + c) + xi/sqrt(dt)) dt
     from g = 0, one per entry of c, with the per-step dt of dts.
@@ -428,12 +450,15 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
     c = +-inf gives the constant drift +-1 exactly, since numpy's
     tanh(+-inf) is +-1. Open walks are stepped a block of steps at a time
     with g recorded at every step; bridge_step then decides the whole block
-    at once. Each walk's first retiring step fixes its time; steps taken after
-    it within the block are discarded, and the open walks are compacted.
+    at once. Each walk's first retiring step fixes its time, and
+    hit_fraction is evaluated on those steps alone; steps taken after it
+    within the block are discarded, and the open walks are compacted.
 
     draw(k0, k1, alive) supplies the standard normals xi and the bridge
     uniforms of steps [k0, k1) for the open walks, as two
-    (k1 - k0, alive.size) arrays; alive holds their indices into c.
+    (k1 - k0, alive.size) arrays; alive holds their indices into c. Both
+    callers pass block_draws, so the block schedule, starting at
+    _FIRST_BLOCK steps and doubling to _BLOCK, shapes what each walk draws.
 
     Returns (times, n_open): crossing times (nan where a walk escaped or
     stayed open) and the count of walks still open at the window end.
@@ -462,14 +487,15 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
             inc += xi[i]
             inc *= dt_list[k0 + i]
             np.add(g[i], inc, out=g[i + 1])
-        crossed, frac, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
+        crossed, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
         done = retire.any(axis=0)
         lanes = np.nonzero(done)[0]
         first = retire[:, lanes].argmax(axis=0)
         hit = crossed[first, lanes]
         lanes, first = lanes[hit], first[hit]
         k = k0 + first
-        times[alive[lanes]] = t_before[k] + dts[k] * frac[first, lanes]
+        frac = hit_fraction(g[first, lanes], g[first + 1, lanes], thr, side)
+        times[alive[lanes]] = t_before[k] + dts[k] * frac
         keep = ~done
         alive, gam, c = alive[keep], g[-1, keep], c[keep]
         k0 = k1
@@ -498,8 +524,11 @@ def walk_crossing_times(
 
     Returns (crossed mask, times); times are nan for non-crossers.
     Deterministic in seed: walkers come in chunks of _WALK_CHUNK, and chunk
-    c draws its parities, then every block's normals and uniforms, from the
-    one stream derived from SeedSequence(seed, spawn_key=(c,)).
+    c draws its parities, then every block's normals and uniforms
+    (block_draws), from the one stream derived from
+    SeedSequence(seed, spawn_key=(c,)). A partial last chunk draws
+    differently from a full one, so a walker's time depends on n_walkers
+    unless its chunk is full in both.
     """
     if not 0.0 <= p_even <= 1.0:
         raise ValueError("p_even must be in [0, 1]")
@@ -511,10 +540,5 @@ def walk_crossing_times(
         hi = min(lo + _WALK_CHUNK, n_walkers)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
         c = np.where(rng.random(hi - lo) < p_even, math.inf, -math.inf)
-
-        def draw(k0, k1, alive):
-            shape = (k1 - k0, alive.size)
-            return rng.standard_normal(shape), rng.random(shape)
-
-        times[lo:hi], _ = walk_first_passage(c, r2, dts, draw)
+        times[lo:hi], _ = walk_first_passage(c, r2, dts, block_draws(rng))
     return ~np.isnan(times), times

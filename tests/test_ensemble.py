@@ -22,7 +22,7 @@ from paritysim.ensemble import (
     _crossing_chunks,
     _ensemble_chunk,
 )
-from paritysim.fpt import DIFFUSION, ESCAPE, drift_offset
+from paritysim.fpt import _BLOCK, DIFFUSION, ESCAPE, drift_offset, walk_dts
 from paritysim.qstate import DivergenceError, preset_state, sanitize
 from paritysim.trajectory import (
     _EVENT_BLOCK,
@@ -423,14 +423,14 @@ def test_crossing_times_are_positive_and_bounded():
     assert n_open <= 5
 
 
-def _stepped_crossings(args):
+def _stepped_crossings(args, z, u):
     """Plain per-run, per-step transcription of the crossing kernel.
 
     Populations through the Bayes map and the mean current as their
-    weighted average, noise and bridge uniforms in _NOISE_BLOCK draws from
-    each run's two streams, and the bridge rule written out. Returns the
-    times and each run's fate: (kind, step) with kind hit, bridge, escape
-    or open.
+    weighted average, run j's noise and bridge uniform of step k read from
+    z[k, j - lo] and u[k, j - lo], and the bridge rule written out. Returns
+    the times and each run's fate: (kind, step) with kind hit, bridge,
+    escape or open.
     """
     seed, p0, lo, hi, thr, dt1, tau_max = args
     tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
@@ -440,20 +440,16 @@ def _stepped_crossings(args):
     dts = [dt1] * n1 + [20.0 * dt1] * n2
     times, fates = [], []
     for j in range(lo, hi):
-        noise = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        bridge = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
         g, t, time_j, fate = 0.0, 0.0, math.nan, ("open", len(dts))
         for k, dt in enumerate(dts):
-            if k % _NOISE_BLOCK == 0:
-                z, u = noise.standard_normal(_NOISE_BLOCK), bridge.random(_NOISE_BLOCK)
             w = [p * math.exp(s * g) for p, s in zip(p0, (1.0, 1.0, -1.0, -1.0))]
             mean = (w[0] + w[1] - w[2] - w[3]) / sum(w)
-            g_new = g + (mean + z[k % _NOISE_BLOCK] * math.sqrt(1.0 / dt)) * dt
+            g_new = g + (mean + z[k, j - lo] * math.sqrt(1.0 / dt)) * dt
             a, b = side * (g - thr), side * (g_new - thr)
             if b >= 0.0:
                 time_j, fate = t + dt * (thr - g) / (g_new - g), ("hit", k)
                 break
-            if u[k % _NOISE_BLOCK] < math.exp(-(a * b) / (DIFFUSION * dt)):
+            if u[k, j - lo] < math.exp(-(a * b) / (DIFFUSION * dt)):
                 time_j, fate = t + 0.5 * dt, ("bridge", k)
                 break
             if b < -ESCAPE:
@@ -468,8 +464,8 @@ def _stepped_crossings(args):
 _COVERS = {
     # runs retired after the step coarsens 20x
     "coarse": lambda fates, n1: sum(k >= n1 for _, k in fates) >= 5,
-    # runs still open past the first _NOISE_BLOCK steps
-    "noise_block": lambda fates, n1: sum(k >= _NOISE_BLOCK for _, k in fates) >= 3,
+    # runs still open after 32 full noise blocks of the walk driver
+    "noise_block": lambda fates, n1: sum(k >= 32 * _BLOCK for _, k in fates) >= 3,
     # runs retired by escape
     "escape": lambda fates, n1: sum(f == "escape" for f, _ in fates) >= 30,
     # a run still open at the window's end
@@ -486,11 +482,32 @@ _COVERS = {
         ((0.35, 0.35, 0.05, 0.25), 1e-2, "open"),
     ],
 )
-def test_crossing_chunk_matches_per_step_reference(state, dt, case):
+def test_crossing_chunk_matches_per_step_reference(state, dt, case, monkeypatch):
+    """_crossing_chunk, its draws served from seeded tables z[step, run]
+    and u[step, run] in place of the chunk stream, against the per-step
+    reference reading the same tables. Column j of each table comes from
+    its own stream, SeedSequence(seed, spawn_key=(j,)) for z and (j, 1)
+    for u."""
     cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=dt, seed=11)
     args = _crossing_chunks(state, cfg, 64)[0]
-    ref_times, fates, n1 = _stepped_crossings(args)
+    _, _, lo, hi, thr, dt1, tau_max = args
+    n_steps = walk_dts(thr, dt1, tau_max).size
+
+    def table(draw, *key):
+        return np.stack([
+            draw(np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, *key))))
+            for j in range(lo, hi)
+        ], axis=1)
+
+    z = table(lambda g: g.standard_normal(n_steps))
+    u = table(lambda g: g.random(n_steps), 1)
+    ref_times, fates, n1 = _stepped_crossings(args, z, u)
     assert _COVERS[case](fates, n1)
+
+    def table_draw(k0, k1, alive):
+        return z[k0:k1, alive], u[k0:k1, alive]
+
+    monkeypatch.setattr(ensemble, "block_draws", lambda rng: table_draw)
     got = _crossing_chunk(args)
     crossed = ~np.isnan(ref_times)
     assert np.array_equal(~np.isnan(got["times"]), crossed)
@@ -498,13 +515,25 @@ def test_crossing_chunk_matches_per_step_reference(state, dt, case):
     assert np.max(np.abs(got["times"][crossed] - ref_times[crossed])) <= 1e-12
 
 
-def test_crossing_time_independent_of_chunk_lanes():
+def test_crossing_times_fixed_by_seed_and_chunk():
+    """A crossing time is a function of the seed and its _CHUNK-run chunk:
+    chunks computed one at a time in reverse order equal
+    first_crossing_times at any worker count, and more runs leave the times
+    of full chunks unchanged. Distinct chunks draw from distinct streams."""
+    state = (0.26, 0.26, 0.22, 0.26)
     cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=2e-3, seed=11)
-    args = _crossing_chunks((0.26, 0.26, 0.22, 0.26), cfg, 256)[0]
-    full = _crossing_chunk(args)["times"]
-    for j in (0, 1, 77, 128, 255):
-        alone = _crossing_chunk(args[:2] + (j, j + 1) + args[4:])["times"]
-        assert np.array_equal(alone, full[j : j + 1], equal_nan=True), j
+    chunks = _crossing_chunks(state, cfg, 600)
+    assert [a[2:4] for a in chunks] == [(0, 256), (256, 512), (512, 600)]
+    parts = {a[2]: _crossing_chunk(a) for a in reversed(chunks)}
+    times = np.concatenate([parts[a[2]]["times"] for a in chunks])
+    n_open = sum(part["n_open"] for part in parts.values())
+    for jobs in (1, 3):
+        got, got_open = first_crossing_times(state, cfg, 600, jobs=jobs)
+        assert np.array_equal(got, times, equal_nan=True), jobs
+        assert got_open == n_open
+    head, _ = first_crossing_times(state, cfg, 512)
+    assert np.array_equal(head, times[:512], equal_nan=True)
+    assert not np.array_equal(times[:256], times[256:512], equal_nan=True)
 
 
 def test_mean_current_is_tanh_of_shifted_gamma():

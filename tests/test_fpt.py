@@ -424,16 +424,17 @@ def test_bridge_step_decisions():
     g1 = np.array([-1.5, -0.6, -0.6, far + 0.1, far - 0.1, 0.1])
     pb = math.exp(-(0.5 * 0.4) / fpt.DIFFUSION)
     u = np.array([0.99, pb - 1e-9, pb + 1e-9, 0.99, 0.99, 0.99])
-    crossed, frac, retire = fpt.bridge_step(g0, g1, -1.0, -1.0, 1.0, u)
+    crossed, retire = fpt.bridge_step(g0, g1, -1.0, -1.0, 1.0, u)
     assert crossed.tolist() == [True, True, False, False, False, False]
     assert retire.tolist() == [True, True, False, True, False, False]
+    frac = fpt.hit_fraction(g0[:2], g1[:2], -1.0, -1.0)
     assert frac[0] == 0.5 and frac[1] == 0.5
     # elementwise over (steps, walks) blocks with a per-step dt
     g = np.array([[0.0, 0.0], [0.3, -0.2], [0.8, -0.1]])
     dts = np.array([[0.1], [0.2]])
-    crossed, frac, _ = fpt.bridge_step(g[:-1], g[1:], 0.5, 1.0, dts, np.ones((2, 2)))
+    crossed, _ = fpt.bridge_step(g[:-1], g[1:], 0.5, 1.0, dts, np.ones((2, 2)))
     assert crossed.tolist() == [[False, False], [True, False]]
-    assert frac[1, 0] == pytest.approx(0.4)
+    assert fpt.hit_fraction(g[1, 0], g[2, 0], 0.5, 1.0) == pytest.approx(0.4)
 
 
 def test_walk_first_passage_at_infinite_offset_is_constant_drift(monkeypatch):

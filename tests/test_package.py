@@ -1,5 +1,5 @@
 """Package-level checks: every name a module exports, and every name the
-benchmark harness imports, exists."""
+benchmark harness and the scripts import, exists."""
 
 import ast
 import importlib
@@ -23,12 +23,12 @@ def test_all_names_resolve(name):
 
 
 def test_benchmark_imports_resolve():
-    """Every `from paritysim... import name` in perfbench/*.py names an
-    attribute that exists, so deleting a function the benchmark harness
-    imports fails here rather than in the harness."""
-    root = Path(__file__).resolve().parents[1] / "perfbench"
-    files = sorted(root.glob("*.py"))
-    assert files
+    """Every `from paritysim... import name` in perfbench/*.py and
+    scripts/*.py names an attribute that exists, so deleting a function the
+    benchmark harness or a script imports fails here rather than there."""
+    root = Path(__file__).resolve().parents[1]
+    files = [f for d in ("perfbench", "scripts") for f in sorted((root / d).glob("*.py"))]
+    assert {f.parent.name for f in files} == {"perfbench", "scripts"}
     missing = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -36,5 +36,6 @@ def test_benchmark_imports_resolve():
                 mod = importlib.import_module(node.module)
                 missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names
                             if not hasattr(mod, a.name)
-                            and importlib.util.find_spec(f"{node.module}.{a.name}") is None]
+                            and not (hasattr(mod, "__path__")  # a submodule of a package
+                                     and importlib.util.find_spec(f"{node.module}.{a.name}"))]
     assert not missing, missing

@@ -4,10 +4,11 @@ Subcommands: trajectory, ensemble, predict, projective, validate.
 Times in file outputs are in units of T_q (the drive period), except
 predict, which reports crossing times in units of T_M with the unit in
 the column header. Flag precedence: command line > --config JSON >
-defaults; the master seed falls back to the PARITY_SEED environment
-variable. Every output directory receives a manifest (written before the
-data files) whose byte content, like the data, is independent of --jobs
-and of reruns. Exit codes: 0 ok, 1 validation failure, 2 usage error,
+defaults; config values are parsed by the flags' own types, and the
+master seed falls back to the PARITY_SEED environment variable. Every
+output directory receives a manifest (written before the data files)
+whose byte content, like the data, is independent of --jobs and of
+reruns. Exit codes: 0 ok, 1 validation failure, 2 usage error,
 3 numerical divergence.
 """
 
@@ -47,42 +48,14 @@ class UsageError(Exception):
 # ------------------------------------------------------------- plumbing
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="ascii") as fh:
-            conf = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"--config: cannot read {path!r}: {exc}") from None
-    if not isinstance(conf, dict):
-        raise UsageError("--config: top-level JSON value must be an object")
-    return conf
-
-
-def _resolve(args, conf: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return conf.get(key, default)
-
-
-def _resolve_seed(args, conf: dict) -> int:
-    seed = _resolve(args, conf, "seed", None)
+def _resolve_seed(args) -> int:
+    seed = args.seed
     if seed is None:
-        env = os.environ.get(_SEED_ENV)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise UsageError(f"{_SEED_ENV}={env!r} is not an integer") from None
-        else:
-            seed = 0
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise UsageError(f"--seed: {seed!r} is not an integer") from None
+        env = os.environ.get(_SEED_ENV, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"{_SEED_ENV}={env!r} is not an integer") from None
     if not 0 <= seed < 2**64:
         raise UsageError("--seed: must fit in 64 unsigned bits")
     return seed
@@ -131,23 +104,14 @@ def _emit_outputs(out_dir: Path, manifest: dict, writers: dict) -> None:
         os.close(dfd)
 
 
-def _build_sim_config(args, conf: dict, seed: int, **overrides) -> SimConfig:
-    params = {
-        "k_ratio": float(_resolve(args, conf, "k", 1.0)),
-        "duration": float(_resolve(args, conf, "duration", 1.0)),
-        "dt": _resolve(args, conf, "dt", None),
-        "record_stride": int(_resolve(args, conf, "record_stride", 1)),
-        "seed": seed,
-    }
-    if params["dt"] is not None:
-        params["dt"] = float(params["dt"])
-    params.update(overrides)
+def _build_sim_config(args, seed: int) -> SimConfig:
     try:
-        return SimConfig(**params)
+        return SimConfig(k_ratio=args.k, duration=args.duration, dt=args.dt,
+                         record_stride=args.record_stride, seed=seed)
     except ValueError as exc:
         msg = str(exc)
         for field, flag in (("k_ratio", "--k"), ("record_stride", "--record-stride"),
-                            ("dt", "--dt"), ("duration", "--duration"), ("seed", "--seed")):
+                            ("dt", "--dt"), ("duration", "--duration")):
             if msg.startswith(field):
                 msg = flag + ": " + msg
                 break
@@ -169,50 +133,43 @@ def _config_dict(cfg: SimConfig) -> dict:
 
 
 def cmd_trajectory(args) -> int:
-    conf = _load_config(args.config)
-    seed = _resolve_seed(args, conf)
-    cfg = _build_sim_config(args, conf, seed)
-    state, state_desc = _parse_state(_resolve(args, conf, "state", "mixed"))
+    seed = _resolve_seed(args)
+    cfg = _build_sim_config(args, seed)
+    state, state_desc = _parse_state(args.state)
     record = simulate(cfg, state)
-    out_dir = Path(_resolve(args, conf, "out", "trajectory-out"))
     manifest = {
         "command": "trajectory",
         "config": _config_dict(cfg),
         "seed": seed,
         "state": state_desc,
     }
-    _emit_outputs(out_dir, manifest, {"trajectory.csv": record.to_csv})
+    _emit_outputs(Path(args.out), manifest, {"trajectory.csv": record.to_csv})
     return 0
 
 
 def cmd_ensemble(args) -> int:
-    conf = _load_config(args.config)
-    seed = _resolve_seed(args, conf)
-    cfg = _build_sim_config(args, conf, seed)
-    state, state_desc = _parse_state(_resolve(args, conf, "state", "mixed"))
-    n_runs = int(_resolve(args, conf, "runs", 1000))
-    bin_width = float(_resolve(args, conf, "bin_width", 0.2))
-    jobs = int(_resolve(args, conf, "jobs", 1))
-    if n_runs < 1:
+    seed = _resolve_seed(args)
+    cfg = _build_sim_config(args, seed)
+    state, state_desc = _parse_state(args.state)
+    if not args.runs >= 1:
         raise UsageError("--runs: must be >= 1")
-    if bin_width <= 0:
-        raise UsageError("--bin-width: must be positive")
-    if jobs < 1:
+    if not 0.0 < args.bin_width < math.inf:
+        raise UsageError("--bin-width: must be positive and finite")
+    if not args.jobs >= 1:
         raise UsageError("--jobs: must be >= 1")
     try:
-        stats = run_ensemble(cfg, state, n_runs, jobs=jobs)
+        stats = run_ensemble(cfg, state, args.runs, jobs=args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    hist = genesis_histogram(stats, bin_width)
-    out_dir = Path(_resolve(args, conf, "out", "ensemble-out"))
+    hist = genesis_histogram(stats, args.bin_width)
     manifest = {
         "command": "ensemble",
-        "config": dict(_config_dict(cfg), runs=n_runs, bin_width=bin_width),
+        "config": dict(_config_dict(cfg), runs=args.runs, bin_width=args.bin_width),
         "seed": seed,
         "state": state_desc,
     }
     _emit_outputs(
-        out_dir,
+        Path(args.out),
         manifest,
         {
             "stats.json": stats.write_stats_json,
@@ -254,7 +211,7 @@ def cmd_predict(args) -> int:
     if (args.state is None) == (args.grid is None):
         raise UsageError("predict needs exactly one of --state or --grid")
     if args.grid is not None:
-        if args.grid < 2:
+        if not args.grid >= 2:
             raise UsageError("--grid: must be >= 2")
         sys.stdout.write("rho33,rho44,p_cross,t_c_tm\n")
         for x, y, p, tc in _grid_rows(args.grid):
@@ -273,25 +230,18 @@ def cmd_predict(args) -> int:
 
 
 def cmd_projective(args) -> int:
-    conf = _load_config(args.config)
-    seed = _resolve_seed(args, conf)
-    k = _resolve(args, conf, "k", None)
-    delta_angle = _resolve(args, conf, "delta_angle", None)
+    seed = _resolve_seed(args)
+    k, delta_angle, n_max, n_runs = args.k, args.delta_angle, args.n_max, args.runs
     if (k is None) == (delta_angle is None):
         raise UsageError("projective needs exactly one of --k or --delta-angle")
     if delta_angle is None:
-        k = float(k)
-        if k < 2.0:
+        if not k >= 2.0:
             raise UsageError("--k: must be >= 2 (delta = pi/k <= pi/2)")
         delta_angle = math.pi / k
-    else:
-        delta_angle = float(delta_angle)
-        if not 0.0 <= delta_angle <= math.pi / 2.0:
-            raise UsageError("--delta-angle: must lie in [0, pi/2]")
-    n_max = int(_resolve(args, conf, "n_max", 100))
-    if n_max < 1:
+    elif not 0.0 <= delta_angle <= math.pi / 2.0:
+        raise UsageError("--delta-angle: must lie in [0, pi/2]")
+    if not n_max >= 1:
         raise UsageError("--n-max: must be >= 1")
-    n_runs = _resolve(args, conf, "runs", None)
 
     steps = np.arange(1, n_max + 1)
     times = steps * (delta_angle / math.pi)  # t_n = n T_M, T_M = delta/pi T_q
@@ -310,8 +260,7 @@ def cmd_projective(args) -> int:
 
     writers = {"curve.csv": write_curve}
     if n_runs is not None:
-        n_runs = int(n_runs)
-        if n_runs < 1:
+        if not n_runs >= 1:
             raise UsageError("--runs: must be >= 1")
         means, ses = monte_carlo_average(delta_angle, n_max, n_runs, seed=seed)
 
@@ -327,7 +276,6 @@ def cmd_projective(args) -> int:
             )
 
         writers["mc_comparison.csv"] = write_mc
-    out_dir = Path(_resolve(args, conf, "out", "projective-out"))
     manifest = {
         "command": "projective",
         "config": {
@@ -338,7 +286,7 @@ def cmd_projective(args) -> int:
         "seed": seed,
         "state": "mixed",
     }
-    _emit_outputs(out_dir, manifest, writers)
+    _emit_outputs(Path(args.out), manifest, writers)
     return 0
 
 
@@ -443,8 +391,8 @@ def _check_genesis_gap_and_tail(n_runs, jobs):
 
 
 def cmd_validate(args) -> int:
-    jobs = args.jobs if args.jobs is not None else 1
-    if jobs < 1:
+    jobs = args.jobs
+    if not jobs >= 1:
         raise UsageError("--jobs: must be >= 1")
     fast = args.suite == "fast"
     checks = [
@@ -489,23 +437,27 @@ def cmd_validate(args) -> int:
 # ----------------------------------------------------------------- main
 
 
-def _add_common(sub, *, state=True):
-    sub.add_argument("--config", help="JSON config file (flags override it)")
+def _add_common(sub, out: str, *, state=True):
+    sub.add_argument("--config", help="JSON object of flag values by dest (flags override it)")
     sub.add_argument("--seed", type=int, help=f"master seed (default ${_SEED_ENV} or 0)")
-    sub.add_argument("--out", help="output directory")
+    sub.add_argument("--out", default=out, help="output directory (default %(default)s)")
     if state:
-        sub.add_argument("--state", help="initial state: preset name or JSON file (default mixed)")
+        sub.add_argument("--state", default="mixed",
+                         help="initial state: preset name or JSON file (default %(default)s)")
 
 
 def _add_sim_flags(sub):
-    sub.add_argument("--k", type=float, help="measurement rate ratio K = T_q/T_M (default 1)")
+    sub.add_argument("--k", type=float, default=1.0,
+                     help="measurement rate ratio K = T_q/T_M (default %(default)s)")
     sub.add_argument("--dt", type=float, help="integrator step in T_q units (default min(T_q,T_M)/200)")
-    sub.add_argument("--duration", type=float, help="run length in T_q units (default 1)")
-    sub.add_argument("--record-stride", type=int, dest="record_stride",
-                     help="record every n-th step (default 1)")
+    sub.add_argument("--duration", type=float, default=1.0,
+                     help="run length in T_q units (default %(default)s)")
+    sub.add_argument("--record-stride", type=int, dest="record_stride", default=1,
+                     help="record every n-th step (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="paritysim",
         description="Continuous two-qubit parity measurement: trajectories, "
@@ -515,17 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     t = subs.add_parser("trajectory", help="integrate one conditioned run")
-    _add_common(t)
+    _add_common(t, "trajectory-out")
     _add_sim_flags(t)
     t.set_defaults(fn=cmd_trajectory)
 
     e = subs.add_parser("ensemble", help="Monte Carlo ensemble with event statistics")
-    _add_common(e)
+    _add_common(e, "ensemble-out")
     _add_sim_flags(e)
-    e.add_argument("--runs", type=int, help="number of trajectories (default 1000)")
-    e.add_argument("--bin-width", type=float, dest="bin_width",
-                   help="genesis histogram bin width in T_q units (default 0.2)")
-    e.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    e.add_argument("--runs", type=int, default=1000,
+                   help="number of trajectories (default %(default)s)")
+    e.add_argument("--bin-width", type=float, dest="bin_width", default=0.2,
+                   help="genesis histogram bin width in T_q units (default %(default)s)")
+    e.add_argument("--jobs", type=int, default=1, help="worker processes (default %(default)s)")
     e.set_defaults(fn=cmd_ensemble)
 
     p = subs.add_parser("predict", help="closed-form crossing prediction")
@@ -535,25 +488,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     j = subs.add_parser("projective", help="strong-measurement chain curves")
-    _add_common(j, state=False)
+    _add_common(j, "projective-out", state=False)
     j.add_argument("--k", type=float, help="pulsing rate K (delta = pi/K)")
     j.add_argument("--delta-angle", type=float, dest="delta_angle",
                    help="rotation angle per step, radians in [0, pi/2]")
-    j.add_argument("--n-max", type=int, dest="n_max", help="number of steps (default 100)")
+    j.add_argument("--n-max", type=int, dest="n_max", default=100,
+                   help="number of steps (default %(default)s)")
     j.add_argument("--runs", type=int, help="Monte Carlo runs (analytic only if omitted)")
     j.set_defaults(fn=cmd_projective)
 
     v = subs.add_parser("validate", help="run the internal check suites")
     v.add_argument("--suite", choices=("fast", "full"), default="fast")
-    v.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    v.add_argument("--jobs", type=int, default=1, help="worker processes (default %(default)s)")
     v.set_defaults(fn=cmd_validate)
-    return parser
+    return parser, subs.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv. With --config, parse it again with the config values as
+    string defaults of the subcommand's flags: argparse then converts and
+    checks them with each flag's own type, and flags still win. Keys are
+    flag dests; null keeps the built-in default."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    sub = commands[args.command]
+    try:
+        with open(args.config, encoding="ascii") as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:
+        sub.error(f"--config: cannot read {args.config!r}: {exc}")
+    if not isinstance(conf, dict):
+        sub.error("--config: top-level JSON value must be an object")
+    known = set(vars(args)) - {"fn", "command", "config"}
+    for key, value in conf.items():
+        if key not in known:
+            sub.error(f"--config: unknown key {key!r} (known: {', '.join(sorted(known))})")
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            sub.error(f"--config: {key!r} must be a string, a number or null")
+        sub.set_defaults(**{key: str(value)})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

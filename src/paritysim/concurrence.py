@@ -95,7 +95,7 @@ class SqrtEigenvalues:
         return float(vals[0] - vals[1] - vals[2] - vals[3])
 
 
-def xstate_sqrt_eigenvalues(rho: DensityMatrix, *, x_tol: float = X_TOL) -> SqrtEigenvalues:
+def xstate_sqrt_eigenvalues(rho: DensityMatrix) -> SqrtEigenvalues:
     """Closed-form sqrt-eigenvalues from the X-state entries.
 
     Validates the X pattern first; the diagnostic reports the largest
@@ -106,7 +106,7 @@ def xstate_sqrt_eigenvalues(rho: DensityMatrix, *, x_tol: float = X_TOL) -> Sqrt
     mask[np.arange(4), np.arange(4)] = True
     mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = True
     off = np.max(np.abs(np.where(mask, 0.0, m)))
-    if off > x_tol:
+    if off > X_TOL:
         raise ValueError(f"not an X-state: largest off-pattern entry {off:.3e}")
     r11, r22, r33, r44 = m.diagonal().real
     r14, r23 = m[0, 3], m[1, 2]
@@ -154,17 +154,17 @@ def lambda_branch_values(
     return lam1, lam2, lam3
 
 
-def lambda_branches(rho: DensityMatrix, *, class_tol: float = CLASS_TOL) -> LambdaBranches:
+def lambda_branches(rho: DensityMatrix) -> LambdaBranches:
     """Branch decomposition of Lambda for the measurement-closed class.
 
-    Requires rho_14 = 0 and Re rho_23 = 0 within class_tol: that is the
+    Requires rho_14 = 0 and Re rho_23 = 0 within CLASS_TOL: that is the
     class the parity-measurement dynamics preserves, on which the branch
     maximum equals the Wootters Lambda.
     """
     m = rho.mat
-    if abs(m[0, 3]) > class_tol:
+    if abs(m[0, 3]) > CLASS_TOL:
         raise ValueError(f"|rho_14| = {abs(m[0, 3]):.3e} outside the closed class")
-    if abs(m[1, 2].real) > class_tol:
+    if abs(m[1, 2].real) > CLASS_TOL:
         raise ValueError(f"|Re rho_23| = {abs(m[1, 2].real):.3e} outside the closed class")
     p = m.diagonal().real
     lam1, lam2, lam3 = lambda_branch_values(p, np.array(m[1, 2].imag))

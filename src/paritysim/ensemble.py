@@ -503,10 +503,11 @@ class ValidationReport:
     mean_se: float
     mean_z: float
 
-    def passed(self, z_max: float = 3.0) -> bool:
-        ok = abs(self.fraction_z) <= z_max
+    def passed(self) -> bool:
+        """Both z-scores within 3; mean_z only when some run crossed."""
+        ok = abs(self.fraction_z) <= 3.0
         if math.isfinite(self.mean_z):
-            ok = ok and abs(self.mean_z) <= z_max
+            ok = ok and abs(self.mean_z) <= 3.0
         return ok
 
     def to_dict(self) -> dict:

@@ -81,10 +81,6 @@ class DensityMatrix:
         """Bell-basis populations (rho_11, rho_22, rho_33, rho_44)."""
         return self.mat.diagonal().real.copy()
 
-    @property
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.mat) ** 2))
-
 
 def _wrap(mat: np.ndarray) -> DensityMatrix:
     """Package a Bell-basis array without re-validating. Internal."""
@@ -104,38 +100,31 @@ def computational_to_bell(mat: np.ndarray) -> np.ndarray:
     return B.conj().T @ np.asarray(mat, dtype=complex) @ B
 
 
-def _validate(mat: np.ndarray, trace_tol: float, psd_tol: float, herm_tol: float) -> np.ndarray:
+def _validate(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (4, 4):
         raise StateValidationError(f"expected a 4x4 matrix, got shape {mat.shape}")
     herm_gap = np.max(np.abs(mat - mat.conj().T))
-    if herm_gap > herm_tol:
+    if herm_gap > HERM_TOL:
         raise StateValidationError(f"not Hermitian: max |rho - rho^dagger| = {herm_gap:.3e}")
     mat = 0.5 * (mat + mat.conj().T)
     trace_gap = abs(mat.trace().real - 1.0)
-    if trace_gap > trace_tol:
+    if trace_gap > TRACE_TOL:
         raise StateValidationError(f"trace differs from 1 by {trace_gap:.3e}")
     evals = np.linalg.eigvalsh(mat)
-    if evals[0] < -psd_tol:
+    if evals[0] < -PSD_TOL:
         raise StateValidationError(f"not positive semidefinite: min eigenvalue {evals[0]:.3e}")
     return mat
 
 
-def make_state(
-    entries: np.ndarray,
-    basis: Basis = Basis.BELL,
-    *,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-    herm_tol: float = HERM_TOL,
-) -> DensityMatrix:
+def make_state(entries: np.ndarray, basis: Basis = Basis.BELL) -> DensityMatrix:
     """Validate a 4x4 matrix and store it in the Bell basis.
 
     Rejects non-Hermitian, non-unit-trace, or non-PSD inputs with a
     diagnostic naming the violated invariant. Computational-basis input is
     rotated with the Bell change-of-basis unitary.
     """
-    mat = _validate(np.asarray(entries), trace_tol, psd_tol, herm_tol)
+    mat = _validate(np.asarray(entries))
     if basis is Basis.COMPUTATIONAL:
         mat = computational_to_bell(mat)
     return _wrap(mat)
@@ -190,28 +179,23 @@ class DivergenceError(RuntimeError):
     """Raised when a state has drifted beyond the repairable tolerances."""
 
 
-def sanitize(
-    rho: DensityMatrix | np.ndarray,
-    *,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> SanitizeResult:
+def sanitize(rho: DensityMatrix | np.ndarray) -> SanitizeResult:
     """Re-Hermitize, renormalize the trace, clip tiny negative eigenvalues.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to zero with renormalization;
-    anything below -psd_tol, or a trace off by more than trace_tol, raises
+    Eigenvalues in [-PSD_TOL, 0) are clipped to zero with renormalization;
+    anything below -PSD_TOL, or a trace off by more than TRACE_TOL, raises
     DivergenceError. The returned correction is the total applied change:
     |tr - 1| plus the clipped negative mass.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     mat = 0.5 * (mat + mat.conj().T)
     tr = mat.trace().real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise DivergenceError(f"trace drifted to {tr!r}")
     correction = abs(tr - 1.0)
     mat = mat / tr
     evals, vecs = np.linalg.eigh(mat)
-    if evals[0] < -psd_tol:
+    if evals[0] < -PSD_TOL:
         raise DivergenceError(f"eigenvalue {evals[0]:.3e} below -psd_tol")
     if evals[0] < 0.0:
         correction += float(-np.sum(evals[evals < 0.0]))

@@ -34,10 +34,10 @@ as the batch kernel and hands every lane near the positivity boundary to
 the kernel's repair at n = 1, so the two agree bit for bit. A change to
 the class step (a split-step integrator, say) must change both together.
 
-One loop, _step_blocks, steps every state: it draws each run's noise,
-applies the caller's state update and hands back blocks of _EVENT_BLOCK
-steps. simulate records from the blocks, and the ensemble chunks reduce
-them to branch values and border events.
+One loop, _step_blocks, steps every state: it draws each run's noise one
+block at a time, applies the caller's state update and hands back blocks
+of _EVENT_BLOCK steps. simulate records from the blocks, and the ensemble
+chunks reduce them to branch values and border events.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ _AIJ = _I[:, None] + _I[None, :]            # I_i + I_j
 _DEC8 = (_I[:, None] - _I[None, :]) ** 2 / 8.0
 
 # off-class recorded states fall back to the general concurrence; this is a
-# runtime-drift allowance, looser than the analytic class_tol
+# runtime-drift allowance, looser than the analytic CLASS_TOL
 _RECORD_CLASS_TOL = 1e-7
-_NOISE_BLOCK = 4096
-_EVENT_BLOCK = 128  # steps per block of _step_blocks; divides _NOISE_BLOCK
+_EVENT_BLOCK = 128  # steps per block of _step_blocks
 _CSV_BLOCK = 512
 _CLASS_PATTERN = np.eye(4, dtype=bool)
 _CLASS_PATTERN[1, 2] = _CLASS_PATTERN[2, 1] = True
@@ -105,12 +104,12 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not self.delta >= 0:
-            raise ValueError("delta must be nonnegative")
-        if not self.k_ratio > 0:
-            raise ValueError("k_ratio must be positive")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and nonnegative")
+        if not 0 < self.k_ratio < math.inf:
+            raise ValueError("k_ratio must be finite and positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive")
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -601,46 +600,44 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance):
 
     advance(state, xi) -> (state, sum of |tr - 1|, clipped magnitude, lanes
     clipped) makes one step on xi, one draw per run. Run i draws from
-    SeedSequence(cfg.seed, spawn_key=(i,)), _NOISE_BLOCK steps at a time,
-    held step-major. After each block of up to _EVENT_BLOCK steps from step
-    k0 this yields (k0, states, xi, health): states[i] is the state at step
+    SeedSequence(cfg.seed, spawn_key=(i,)), one block at a time, held
+    step-major. After each block of up to _EVENT_BLOCK steps from step k0
+    this yields (k0, states, xi, health): states[i] is the state at step
     k0 + i and xi[i] the draw at that step, from i = 0 to the block's end,
-    so the last xi row is the draw after the block's last step. Both are
-    views, valid until the next block. health is the running (sum of
-    |tr - 1|, clipped magnitude, lanes clipped). A DivergenceError is raised
-    again with the step it happened at.
+    so the last xi row is the draw after the block's last step; the next
+    block carries it over into its row 0 and draws the rest, so each run
+    reads one unbroken stream. Both are views, valid until the next block.
+    health is the running (sum of |tr - 1|, clipped magnitude, lanes
+    clipped). A DivergenceError is raised again with the step it happened
+    at.
     """
     n_steps = cfg.n_steps
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
     gens = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
             for i in range(lo, hi)]
-    # one row more than a noise block: the draw after a block's last step
-    # is its own last row, and a refill carries it over into row 0
-    xi = np.zeros((_NOISE_BLOCK + 1, hi - lo))
+    xi = np.empty((_EVENT_BLOCK + 1, hi - lo))
     first = np.asarray(state)
     states = np.empty((_EVENT_BLOCK + 1, *first.shape), first.dtype)
     states[0] = first
     corrections = clip_total = 0.0
     n_clips = 0
     for k0 in range(0, n_steps, _EVENT_BLOCK):
-        at = k0 % _NOISE_BLOCK
-        if at == 0:
-            xi[0] = xi[_NOISE_BLOCK]
-            fresh = slice(1 if k0 else 0, min(_NOISE_BLOCK, n_steps - k0) + 1)
-            for j, g in enumerate(gens):
-                xi[fresh, j] = g.normal(0.0, sigma, fresh.stop - fresh.start)
         n = min(_EVENT_BLOCK, n_steps - k0)
+        fresh = 1 if k0 else 0
+        for j, g in enumerate(gens):
+            xi[fresh : n + 1, j] = g.normal(0.0, sigma, n + 1 - fresh)
         for i in range(n):
             try:
-                state, corr, clipped, n_c = advance(state, xi[at + i])
+                state, corr, clipped, n_c = advance(state, xi[i])
             except DivergenceError as exc:
                 raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
             corrections += corr
             clip_total += clipped
             n_clips += n_c
             states[i + 1] = state
-        yield k0, states[: n + 1], xi[at : at + n + 1], (corrections, clip_total, n_clips)
+        yield k0, states[: n + 1], xi[: n + 1], (corrections, clip_total, n_clips)
         states[0] = states[n]
+        xi[0] = xi[n]
 
 
 def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:

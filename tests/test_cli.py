@@ -238,6 +238,35 @@ def test_config_file_precedence(tmp_path):
     assert man["seed"] == 5                   # from config file
 
 
+@pytest.mark.parametrize("argv, conf, named", [
+    pytest.param(["ensemble"], {"runs": "1e3"}, "--runs", id="config-runs-1e3"),
+    pytest.param(["trajectory"], {"k": "fast"}, "--k", id="config-k-fast"),
+    pytest.param(["trajectory"], {"k": True}, "'k'", id="config-k-true"),
+    pytest.param(["trajectory"], {"record_stride": 2.5}, "--record-stride",
+                 id="config-record_stride-2.5"),
+    pytest.param(["ensemble"], {"runs": 1000.0}, "--runs", id="config-runs-1000.0"),
+    pytest.param(["trajectory"], {"duraton": 15}, "'duraton'", id="config-duraton"),
+    pytest.param(["trajectory"], {"out": ["x"]}, "'out'", id="config-out-list"),
+    pytest.param(["ensemble", "--bin-width", "nan"], None, "--bin-width", id="flag-bin-width-nan"),
+    pytest.param(["projective", "--k", "nan"], None, "--k", id="flag-projective-k-nan"),
+    pytest.param(["trajectory", "--duration", "inf"], None, "--duration", id="flag-duration-inf"),
+])
+def test_bad_flag_and_config_values_exit_2(tmp_path, capsys, argv, conf, named):
+    """A value argparse would refuse as a flag is refused in --config too, an
+    unknown key or a non-scalar value is refused, and NaN or inf fails the
+    range checks: exit 2, the flag or key named, no traceback."""
+    argv = argv + ["--out", str(tmp_path / "o")]
+    if conf is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_must_be_object(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text("[1, 2]")

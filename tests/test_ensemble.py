@@ -26,7 +26,6 @@ from paritysim.fpt import _BLOCK, DIFFUSION, ESCAPE, drift_offset, walk_dts
 from paritysim.qstate import DivergenceError, preset_state, sanitize
 from paritysim.trajectory import (
     _EVENT_BLOCK,
-    _NOISE_BLOCK,
     C_NOISE,
     SimConfig,
     _ClassLanes,
@@ -149,9 +148,9 @@ def test_ensemble_deterministic_and_jobs_invariant():
 def _stepped_ensemble(args):
     """Plain per-step transcription of _ensemble_chunk.
 
-    _ClassLanes.advance steps on each run's noise stream drawn _NOISE_BLOCK
-    values at a time, the branch maximum after every step, and the event
-    and rise rules of events_from_series written out lane by lane.
+    _ClassLanes.advance steps on each run's noise stream drawn in one call,
+    the branch maximum after every step, and the event and rise rules of
+    events_from_series written out lane by lane.
     """
     cfg, p0, y0, lo, hi, thr = args
     n, n_steps, dt = hi - lo, cfg.n_steps, cfg.dt
@@ -159,11 +158,10 @@ def _stepped_ensemble(args):
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
     sigma = math.sqrt(C_NOISE * cfg.s0 / dt)
-    xi = np.empty((n, -(-n_steps // _NOISE_BLOCK) * _NOISE_BLOCK))
+    xi = np.empty((n, n_steps))
     for j in range(n):
         g = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(lo + j,)))
-        for at in range(0, xi.shape[1], _NOISE_BLOCK):
-            xi[j, at : at + _NOISE_BLOCK] = g.normal(0.0, sigma, _NOISE_BLOCK)
+        xi[j] = g.normal(0.0, sigma, n_steps)
     floor = trajectory.clip_floor(cfg)
     coef = _drive_coefficients(dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
     lanes = _ClassLanes(n).load(p0, y0)

@@ -1,10 +1,11 @@
 """Package-level checks: every name a module exports, and every name the
-benchmark harness and the scripts import, exists."""
+benchmark harness, the scripts and README's examples import, exists."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -23,18 +24,23 @@ def test_all_names_resolve(name):
 
 
 def test_benchmark_imports_resolve():
-    """Every `from paritysim... import name` in perfbench/*.py and
-    scripts/*.py names an attribute that exists, so deleting a function the
-    benchmark harness or a script imports fails here rather than there."""
+    """Every `from paritysim... import name` in perfbench/*.py, scripts/*.py
+    and README's python code blocks names an attribute that exists, so
+    deleting a function the benchmark harness, a script or an example
+    imports fails here rather than there."""
     root = Path(__file__).resolve().parents[1]
     files = [f for d in ("perfbench", "scripts") for f in sorted((root / d).glob("*.py"))]
     assert {f.parent.name for f in files} == {"perfbench", "scripts"}
+    sources = [(f.name, f.read_text()) for f in files]
+    readme = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    assert readme, "README.md has no python code block"
+    sources += [(f"README.md block {i}", block) for i, block in enumerate(readme)]
     missing = []
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for name, text in sources:
+        for node in ast.walk(ast.parse(text, filename=name)):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "paritysim":
                 mod = importlib.import_module(node.module)
-                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                missing += [f"{name}: {node.module}.{a.name}" for a in node.names
                             if not hasattr(mod, a.name)
                             and not (hasattr(mod, "__path__")  # a submodule of a package
                                      and importlib.util.find_spec(f"{node.module}.{a.name}"))]

@@ -26,7 +26,7 @@ from paritysim.qstate import (
     preset_state,
     state_to_json,
 )
-from paritysim.trajectory import _EVENT_BLOCK, _NOISE_BLOCK, SimConfig, simulate
+from paritysim.trajectory import _EVENT_BLOCK, SimConfig, simulate
 
 
 def bell_diag(p1, p2, p3, p4):
@@ -549,6 +549,12 @@ def test_simconfig_validation():
         SimConfig(delta=-1.0, duration=1.0)
     with pytest.raises(ValueError, match="duration"):
         SimConfig(k_ratio=1.0, duration=0.0)
+    with pytest.raises(ValueError, match="^duration"):
+        SimConfig(k_ratio=1.0, duration=math.inf)
+    with pytest.raises(ValueError, match="^k_ratio"):
+        SimConfig(k_ratio=math.inf, duration=1.0)
+    with pytest.raises(ValueError, match="^delta"):
+        SimConfig(delta=math.inf, duration=1.0)
     with pytest.raises(ValueError, match="symmetric"):
         g = np.zeros((4, 4))
         g[0, 1] = 0.5
@@ -629,7 +635,7 @@ def test_off_class_positivity_on_exact_spectrum(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.parametrize("n_steps", [3 * _EVENT_BLOCK, _NOISE_BLOCK, 2 * _NOISE_BLOCK])
+@pytest.mark.parametrize("n_steps", [3 * _EVENT_BLOCK, 4096, 8192])
 def test_driver_noise_at_block_edges(n_steps):
     """At block-edge lengths simulate steps on draws 0 .. n_steps - 1 of the
     spawn-key-0 stream (against a plain per-step loop of the lane stepper),

@@ -530,7 +530,12 @@ def _parse_args(argv) -> argparse.Namespace:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             sub.error(f"--config: {key!r} must be a string, a number or null")
         sub.set_defaults(**{key: str(value)})
-    return parser.parse_args(argv)
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:
+        # argv alone parsed above, so a config value was refused
+        print(f"{sub.prog}: the refused value is from --config {args.config!r}", file=sys.stderr)
+        raise
 
 
 def main(argv=None) -> int:

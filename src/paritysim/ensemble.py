@@ -7,7 +7,8 @@ measurement-only crossing kernel from one stream
 SeedSequence(entropy=seed, spawn_key=(chunk,)), and chunk partial sums
 are merged in chunk order, so results are byte-identical for any worker
 count. Border events (genesis, sudden death, sudden birth) are detected
-at full step resolution even when the averaged series is decimated.
+at full step resolution even when the averaged series is decimated, and
+kept as one table with a row per event, ordered by run, then step.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ class EventKind(enum.Enum):
     SUDDEN_BIRTH = "sudden-birth"
 
 
+# an event table's "kind" column indexes _KINDS
+_KINDS = tuple(EventKind)
+_GENESIS, _DEATH, _BIRTH = range(3)
+_EVENT_DTYPE = np.dtype([("run", "i8"), ("step", "i8"), ("time", "f8"), ("kind", "i1")])
+
+
 @dataclass(frozen=True)
 class BorderEvent:
     """One border crossing: time is the linear-interpolation zero of the
@@ -118,7 +125,9 @@ class EnsembleStats:
     genesis_times and rise_times are per-run, nan where the run never
     crossed (resp. never rose above the threshold) within the window;
     censored runs are tallied, never dropped or imputed. Standard errors
-    come from the per-run variance at each grid point.
+    come from the per-run variance at each grid point. event_table holds
+    every border event, one row (run, step, time, kind) each, ordered by
+    run, then step; kind indexes tuple(EventKind).
     """
 
     config: SimConfig
@@ -130,7 +139,7 @@ class EnsembleStats:
     se_concurrence: np.ndarray
     genesis_times: np.ndarray
     rise_times: np.ndarray | None
-    events: tuple[tuple[BorderEvent, ...], ...]
+    event_table: np.ndarray
     trace_correction_total: float
     clip_total: float
     n_clips: int
@@ -147,22 +156,24 @@ class EnsembleStats:
     def crossing_fraction(self) -> float:
         return 1.0 - self.n_never / self.n_runs
 
+    @property
+    def events(self) -> tuple[tuple[BorderEvent, ...], ...]:
+        """One tuple of BorderEvent per run, built from event_table."""
+        runs: list[list[BorderEvent]] = [[] for _ in range(self.n_runs)]
+        for run, step, time, kind in self.event_table.tolist():
+            runs[run].append(BorderEvent(time, _KINDS[kind], step))
+        return tuple(map(tuple, runs))
+
     def event_totals(self) -> dict[EventKind, int]:
-        totals = {kind: 0 for kind in EventKind}
-        for run in self.events:
-            for ev in run:
-                totals[ev.kind] += 1
-        return totals
+        counts = np.bincount(self.event_table["kind"], minlength=len(_KINDS))
+        return {kind: int(n) for kind, n in zip(_KINDS, counts)}
 
     def death_birth_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-run numbers of sudden-death and sudden-birth events."""
-        deaths = np.array(
-            [sum(ev.kind is EventKind.SUDDEN_DEATH for ev in run) for run in self.events]
+        run, kind = self.event_table["run"], self.event_table["kind"]
+        return tuple(
+            np.bincount(run[kind == code], minlength=self.n_runs) for code in (_DEATH, _BIRTH)
         )
-        births = np.array(
-            [sum(ev.kind is EventKind.SUDDEN_BIRTH for ev in run) for run in self.events]
-        )
-        return deaths, births
 
     def write_avg_lambda_csv(self, path) -> None:
         cols = np.column_stack(
@@ -180,9 +191,8 @@ class EnsembleStats:
     def write_events_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("run,step,time,kind\n")
-            for i, run in enumerate(self.events):
-                for ev in run:
-                    fh.write(f"{i},{ev.step},{ev.time:.17g},{ev.kind.value}\n")
+            for run, step, time, kind in self.event_table.tolist():
+                fh.write(f"{run},{step},{time:.17g},{_KINDS[kind].value}\n")
 
     def stats_dict(self) -> dict:
         crossed = self.crossed_times
@@ -225,10 +235,13 @@ def _ensemble_chunk(args) -> dict:
     is bitwise the one-lane stepper of simulate, through simulate's
     stepping loop trajectory._step_blocks. At the end of each block of
     steps the branch maximum is evaluated once for all of its states, and
-    the record columns, border events and rise times of the block are
-    found with array operations. The interpolation expressions are those
-    of events_from_series, so an ensemble of one reproduces detect_events
-    exactly.
+    the record columns, border crossings and rise times of the block are
+    found with array operations. At the chunk's end the crossings are
+    sorted by run into the event table: a run's first crossing is genesis
+    if it goes up (the run started unentangled), later up-crossings sudden
+    births, down-crossings sudden deaths. The interpolation expressions
+    are those of events_from_series, so an ensemble of one reproduces
+    detect_events exactly.
     """
     cfg, p0, y0, lo, hi, rise_threshold = args
     n, dt = hi - lo, cfg.dt
@@ -236,10 +249,8 @@ def _ensemble_chunk(args) -> dict:
     lanes = _ClassLanes(n).load(p0, y0)
     advance = lanes.stepper(cfg, clip_floor(cfg))
     lam_rec = np.empty((n, rec_at.size))
-    genesis = np.full(n, np.nan)
-    genesis_seen: list[bool] = []
     rise = np.full(n, np.nan)
-    events: list[list[BorderEvent]] = [[] for _ in range(n)]
+    crossings = []
     slot = 0
     try:
         for k0, blk, _, health in _step_blocks(cfg, lo, hi, lanes.s, advance):
@@ -247,34 +258,21 @@ def _ensemble_chunk(args) -> dict:
             k1 = k0 + len(blk) - 1
             l1, l2, l3 = lambda_branch_values(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
             lam = np.maximum(np.maximum(l1, l2), l3)
-            if k0 == 0:
-                genesis_seen = (lam[0] > 0.0).tolist()
-                if rise_threshold is not None:
-                    rise[lam[0] > rise_threshold] = 0.0
+            if k0 == 0 and rise_threshold is not None:
+                rise[lam[0] > rise_threshold] = 0.0
             stop = int(np.searchsorted(rec_at, k1, side="right"))
             lam_rec[:, slot:stop] = lam[rec_at[slot:stop] - k0].T
             slot = stop
 
             ent = lam > 0.0
             # lane j crosses within step k = k0 + 1 + i, from t0 to t1, in
-            # event (i, j); events come in step order, as step by step
+            # crossing (i, j); crossings come in step order
             i, j = np.nonzero(ent[1:] != ent[:-1])
             k = k0 + 1 + i
             t0, t1 = (k - 1) * dt, k * dt
             before, after = lam[i, j], lam[i + 1, j]
             t_star = t0 + (t1 - t0) * (before / (before - after))
-            ups = ent[i + 1, j].tolist()
-            for jj, kk, tt, up in zip(j.tolist(), k.tolist(), t_star.tolist(), ups):
-                if up:
-                    if genesis_seen[jj]:
-                        kind = EventKind.SUDDEN_BIRTH
-                    else:
-                        kind = EventKind.GENESIS
-                        genesis[jj] = tt
-                        genesis_seen[jj] = True
-                else:
-                    kind = EventKind.SUDDEN_DEATH
-                events[jj].append(BorderEvent(tt, kind, kk))
+            crossings.append((lo + j, k, t_star, ent[i + 1, j]))
             if rise_threshold is not None:
                 # the first step of the block that ends above the threshold
                 above = lam[1:] > rise_threshold
@@ -287,6 +285,17 @@ def _ensemble_chunk(args) -> dict:
     except DivergenceError as exc:
         raise DivergenceError(f"runs [{lo}, {hi}) at {exc}") from None
 
+    run, step, time, up = (np.concatenate(col) for col in zip(*crossings))
+    order = np.argsort(run, kind="stable")   # a run's crossings stay in step order
+    run, up = run[order], up[order]
+    first = np.diff(run, prepend=-1) != 0
+    table = np.empty(run.size, _EVENT_DTYPE)
+    table["run"], table["step"], table["time"] = run, step[order], time[order]
+    table["kind"] = np.where(up, np.where(first, _GENESIS, _BIRTH), _DEATH)
+    born = table[table["kind"] == _GENESIS]
+    genesis = np.full(n, np.nan)
+    genesis[born["run"] - lo] = born["time"]
+
     conc_rec = np.maximum(lam_rec, 0.0)
     return {
         "lam_sum": lam_rec.sum(axis=0),
@@ -295,7 +304,7 @@ def _ensemble_chunk(args) -> dict:
         "conc_sumsq": (conc_rec**2).sum(axis=0),
         "genesis": genesis,
         "rise": rise,
-        "events": [tuple(run) for run in events],
+        "events": table,
         "corrections": health[0],
         "clip_total": health[1],
         "n_clips": health[2],
@@ -341,30 +350,17 @@ def run_ensemble(
         for lo in range(0, n_runs, _CHUNK)
     ]
     parts = _map_chunks(_ensemble_chunk, chunks, jobs)
-
+    # merged in chunk order whatever the worker count: sums from 0, arrays end to end
+    sums = {
+        key: sum(part[key] for part in parts)
+        for key in ("lam_sum", "lam_sumsq", "conc_sum", "conc_sumsq",
+                    "corrections", "clip_total", "n_clips")
+    }
+    genesis, rise, table = (
+        np.concatenate([part[key] for part in parts]) for key in ("genesis", "rise", "events")
+    )
     times = parts[0]["times"]
     n_rec = times.size
-    lam_sum = np.zeros(n_rec)
-    lam_sumsq = np.zeros(n_rec)
-    conc_sum = np.zeros(n_rec)
-    conc_sumsq = np.zeros(n_rec)
-    genesis = []
-    rise = []
-    events = []
-    corrections = 0.0
-    clip_total = 0.0
-    n_clips = 0
-    for part in parts:
-        lam_sum += part["lam_sum"]
-        lam_sumsq += part["lam_sumsq"]
-        conc_sum += part["conc_sum"]
-        conc_sumsq += part["conc_sumsq"]
-        genesis.append(part["genesis"])
-        rise.append(part["rise"])
-        events.extend(part["events"])
-        corrections += part["corrections"]
-        clip_total += part["clip_total"]
-        n_clips += part["n_clips"]
 
     def mean_se(total, totalsq):
         mean = total / n_runs
@@ -373,8 +369,8 @@ def run_ensemble(
         var = np.maximum(totalsq - n_runs * mean**2, 0.0) / (n_runs - 1)
         return mean, np.sqrt(var / n_runs)
 
-    avg_lam, se_lam = mean_se(lam_sum, lam_sumsq)
-    avg_conc, se_conc = mean_se(conc_sum, conc_sumsq)
+    avg_lam, se_lam = mean_se(sums["lam_sum"], sums["lam_sumsq"])
+    avg_conc, se_conc = mean_se(sums["conc_sum"], sums["conc_sumsq"])
     return EnsembleStats(
         config=cfg,
         n_runs=n_runs,
@@ -383,12 +379,12 @@ def run_ensemble(
         se_lambda=se_lam,
         avg_concurrence=avg_conc,
         se_concurrence=se_conc,
-        genesis_times=np.concatenate(genesis),
-        rise_times=None if rise_threshold is None else np.concatenate(rise),
-        events=tuple(events),
-        trace_correction_total=corrections,
-        clip_total=clip_total,
-        n_clips=n_clips,
+        genesis_times=genesis,
+        rise_times=None if rise_threshold is None else rise,
+        event_table=table,
+        trace_correction_total=sums["corrections"],
+        clip_total=sums["clip_total"],
+        n_clips=sums["n_clips"],
     )
 
 

@@ -507,11 +507,11 @@ def _in_closed_class(mat: np.ndarray) -> bool:
 class TrajectoryRecord:
     """One realization sampled on the record grid.
 
-    states is a (n, 4, 4) Bell-basis array; lambda1..lambda3 are the branch
-    values (nan where the state drifted off the closed X class), lam their
-    maximum, concurrence max(lam, 0) or the general Wootters value off
-    class. integrated_output[0] is reported as 0 (the t -> 0 limit of the
-    running mean is left undefined by 0/0). trace_correction_total
+    states is a (n, 4, 4) Bell-basis array; lam is the branch maximum (nan
+    where the state drifted off the closed X class), concurrence
+    max(lam, 0) or the general Wootters value off class.
+    integrated_output[0] is reported as 0 (the t -> 0 limit of the running
+    mean is left undefined by 0/0). trace_correction_total
     accumulates |Tr rho - 1| before each renormalization (rounding floor;
     the update is trace-preserving algebraically); clip_total accumulates
     the positivity projections, whose magnitude scales with dt.
@@ -522,9 +522,6 @@ class TrajectoryRecord:
     states: np.ndarray
     currents: np.ndarray
     integrated_output: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda3: np.ndarray
     lam: np.ndarray
     concurrence: np.ndarray
     trace_correction_total: float
@@ -571,9 +568,8 @@ class TrajectoryRecord:
 
 
 def _record_entanglement(states: np.ndarray):
-    """Branch values and concurrence for recorded states, closed-form on the
+    """Branch maximum and concurrence for recorded states, closed-form on the
     X class, general Wootters off it."""
-    n = states.shape[0]
     pops = np.real(np.einsum("nii->ni", states))
     y23 = np.imag(states[:, 1, 2])
     off = (np.abs(states[:, 0, 3]) > _RECORD_CLASS_TOL) | (
@@ -583,10 +579,10 @@ def _record_entanglement(states: np.ndarray):
     lam = np.maximum(np.maximum(lam1, lam2), lam3)
     conc = np.maximum(lam, 0.0)
     if off.any():
-        lam1[off] = lam2[off] = lam3[off] = lam[off] = np.nan
+        lam[off] = np.nan
         for k in np.nonzero(off)[0]:
             conc[k] = wootters_concurrence(sanitize(states[k]).state)
-    return lam1, lam2, lam3, lam, conc
+    return lam, conc
 
 
 def _record_steps(cfg: SimConfig) -> np.ndarray:
@@ -703,16 +699,13 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
         states.imag[:, 2, 1] = -rec[:, 4]
     else:
         states = rec
-    lam1, lam2, lam3, lam, conc = _record_entanglement(states)
+    lam, conc = _record_entanglement(states)
     return TrajectoryRecord(
         config=cfg,
         times=times,
         states=states,
         currents=currents,
         integrated_output=integrated,
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda3=lam3,
         lam=lam,
         concurrence=conc,
         trace_correction_total=corrections,

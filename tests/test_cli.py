@@ -263,6 +263,9 @@ def test_bad_flag_and_config_values_exit_2(tmp_path, capsys, argv, conf, named):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert named in err
+    if conf is not None:
+        # the usage line lists [--config CONFIG]; the last line names the source
+        assert "--config" in err.strip().splitlines()[-1]
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -34,9 +34,10 @@ from paritysim.trajectory import (
 )
 
 MIXED = preset_state("mixed")
+ENTANGLED = sanitize(np.diag([0.1, 0.6, 0.2, 0.1]).astype(complex)).state
 
 
-def make_stats(genesis_times, n_runs, events=None):
+def make_stats(genesis_times, n_runs):
     """Minimal EnsembleStats for histogram/serialization tests."""
     g = np.asarray(genesis_times, dtype=float)
     pad = np.full(n_runs - g.size, np.nan)
@@ -52,7 +53,7 @@ def make_stats(genesis_times, n_runs, events=None):
         se_concurrence=z,
         genesis_times=np.concatenate([g, pad]),
         rise_times=None,
-        events=events if events is not None else tuple(() for _ in range(n_runs)),
+        event_table=np.zeros(0, ensemble._EVENT_DTYPE),
         trace_correction_total=0.0,
         clip_total=0.0,
         n_clips=0,
@@ -219,15 +220,26 @@ def _stepped_ensemble(args):
     }
 
 
+def _event_table(runs, lo):
+    """The event table of per-run BorderEvent lists for runs lo, lo + 1, ..."""
+    kinds = list(EventKind)
+    rows = [(lo + j, ev.step, ev.time, kinds.index(ev.kind))
+            for j, run in enumerate(runs) for ev in run]
+    return np.array(rows, dtype=ensemble._EVENT_DTYPE)
+
+
 def test_ensemble_chunk_matches_per_step_reference():
     """The blocked chunk driver is bitwise a plain per-step loop: record
     sums, genesis and rise times, events and health totals. n_steps = 260
-    is no multiple of the event block, and 300 runs leave a partial chunk."""
+    is no multiple of the event block, and 300 runs leave a partial chunk.
+    The third case starts entangled, so its runs die and are reborn without
+    genesis."""
     g = np.zeros((4, 4))
     g[1, 2] = g[2, 1] = 0.7
     cases = [
         (SimConfig(k_ratio=1.0, duration=1.3, seed=19, record_stride=7, gamma=g), MIXED, -0.05),
         (SimConfig(k_ratio=0.3, duration=2.6, seed=5), preset_state("sigma-boundary"), None),
+        (SimConfig(k_ratio=0.3, duration=2.6, seed=5), ENTANGLED, None),
     ]
     edge_steps = set()
     for cfg, initial, thr in cases:
@@ -239,11 +251,16 @@ def test_ensemble_chunk_matches_per_step_reference():
             got = _ensemble_chunk(args)
             for key in ("lam_sum", "lam_sumsq", "conc_sum", "conc_sumsq", "genesis", "rise"):
                 assert np.array_equal(got[key], ref[key], equal_nan=True), key
-            assert got["events"] == ref["events"]
+            want = _event_table(ref["events"], lo)
+            for field in want.dtype.names:
+                assert np.array_equal(got["events"][field], want[field]), field
             for key in ("corrections", "clip_total", "n_clips"):
                 assert got[key] == ref[key], key
             assert ref["n_clips"] > 0
             edge_steps |= {ev.step % _EVENT_BLOCK for run in ref["events"] for ev in run}
+            if initial is ENTANGLED:
+                kinds = {ev.kind for run in ref["events"] for ev in run}
+                assert kinds == {EventKind.SUDDEN_DEATH, EventKind.SUDDEN_BIRTH}
     # events on the first step of a block (from k0 to k0 + 1) and on its last
     assert {1, 0} <= edge_steps
 
@@ -313,6 +330,10 @@ def test_event_grammar_and_genesis_bookkeeping():
     assert stats.crossing_fraction == n_genesis / 200
     deaths, births = stats.death_birth_counts()
     assert np.all(births <= deaths)
+    kinds = [ev.kind for run in stats.events for ev in run]
+    assert stats.event_totals() == {kind: kinds.count(kind) for kind in EventKind}
+    for kind, counts in ((EventKind.SUDDEN_DEATH, deaths), (EventKind.SUDDEN_BIRTH, births)):
+        assert counts.tolist() == [[ev.kind for ev in run].count(kind) for run in stats.events]
 
 
 def test_run_ensemble_rejects_off_class_initial():

@@ -34,10 +34,11 @@ as the batch kernel and hands every lane near the positivity boundary to
 the kernel's repair at n = 1, so the two agree bit for bit. A change to
 the class step (a split-step integrator, say) must change both together.
 
-One loop, _step_blocks, steps every state: it draws each run's noise one
-block at a time, applies the caller's state update and hands back blocks
-of _EVENT_BLOCK steps. simulate records from the blocks, and the ensemble
-chunks reduce them to branch values and border events.
+One loop, _step_blocks, steps every state: it draws the noise of a chunk
+of up to _CHUNK runs from one stream a block at a time, applies the
+caller's state update and hands back blocks of _EVENT_BLOCK steps.
+simulate records from the blocks, and the ensemble chunks reduce them to
+branch values and border events.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ _DEC8 = (_I[:, None] - _I[None, :]) ** 2 / 8.0
 # runtime-drift allowance, looser than the analytic CLASS_TOL
 _RECORD_CLASS_TOL = 1e-7
 _EVENT_BLOCK = 128  # steps per block of _step_blocks
+_CHUNK = 256        # runs per noise stream; --jobs maps chunks to processes
 _CSV_BLOCK = 512
 _CLASS_PATTERN = np.eye(4, dtype=bool)
 _CLASS_PATTERN[1, 2] = _CLASS_PATTERN[2, 1] = True
@@ -343,10 +345,12 @@ class _ClassLanes:
         tr += s[3]
         np.subtract(tr, 1.0, out=dev)
         np.abs(dev, out=dev)
-        if not dev.max() <= _TRACE_DRIFT:
+        total = float(dev.sum())
+        # a sum within the bound clears every lane; otherwise look lane by lane
+        if not total <= _TRACE_DRIFT:
             _trace_deviation(tr)
         s /= tr
-        return float(dev.sum())
+        return total
 
     def repair(self, floor: float) -> tuple[float, int]:
         """Closed-form positivity projection of the lanes.
@@ -591,37 +595,47 @@ def _record_steps(cfg: SimConfig) -> np.ndarray:
     return steps if steps[-1] == cfg.n_steps else np.append(steps, cfg.n_steps)
 
 
-def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance):
+def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
     """The one stepping loop: runs [lo, hi) from state over cfg.n_steps.
 
     advance(state, xi) -> (state, sum of |tr - 1|, clipped magnitude, lanes
-    clipped) makes one step on xi, one draw per run. Run i draws from
-    SeedSequence(cfg.seed, spawn_key=(i,)), one block at a time, held
-    step-major. After each block of up to _EVENT_BLOCK steps from step k0
-    this yields (k0, states, xi, health): states[i] is the state at step
+    clipped) makes one step on xi, one draw per run. draw(k0, k1) supplies
+    the standard normals of steps [k0, k1) for every run, one
+    (k1 - k0, hi - lo) array, which the loop scales by the noise amplitude;
+    by default they come from the chunk's one generator,
+    SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)), drawn step-major a
+    block at a time. After each block of up to _EVENT_BLOCK steps from step
+    k0 this yields (k0, states, xi, health): states[i] is the state at step
     k0 + i and xi[i] the draw at that step, from i = 0 to the block's end,
     so the last xi row is the draw after the block's last step; the next
-    block carries it over into its row 0 and draws the rest, so each run
+    block carries it over into its row 0 and draws the rest, so the chunk
     reads one unbroken stream. Both are views, valid until the next block.
     health is the running (sum of |tr - 1|, clipped magnitude, lanes
     clipped). A DivergenceError is raised again with the step it happened
-    at.
+    at. A state held as a tuple (the one-lane stepper's) is written into
+    the block once per block, any other state once per step.
     """
     n_steps = cfg.n_steps
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
-    gens = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
-            for i in range(lo, hi)]
+    if draw is None:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(lo // _CHUNK,)))
+
+        def draw(k0, k1):
+            return rng.standard_normal((k1 - k0, hi - lo))
+
     xi = np.empty((_EVENT_BLOCK + 1, hi - lo))
     first = np.asarray(state)
     states = np.empty((_EVENT_BLOCK + 1, *first.shape), first.dtype)
     states[0] = first
+    lane = isinstance(state, tuple)
     corrections = clip_total = 0.0
     n_clips = 0
     for k0 in range(0, n_steps, _EVENT_BLOCK):
         n = min(_EVENT_BLOCK, n_steps - k0)
         fresh = 1 if k0 else 0
-        for j, g in enumerate(gens):
-            xi[fresh : n + 1, j] = g.normal(0.0, sigma, n + 1 - fresh)
+        np.multiply(draw(k0 + fresh, k0 + n + 1), sigma, out=xi[fresh : n + 1])
+        rows = []
         for i in range(n):
             try:
                 state, corr, clipped, n_c = advance(state, xi[i])
@@ -630,7 +644,12 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance):
             corrections += corr
             clip_total += clipped
             n_clips += n_c
-            states[i + 1] = state
+            if lane:
+                rows.append(state)
+            else:
+                states[i + 1] = state
+        if lane:
+            states[1 : n + 1] = rows
         yield k0, states[: n + 1], xi[: n + 1], (corrections, clip_total, n_clips)
         states[0] = states[n]
         xi[0] = xi[n]
@@ -640,11 +659,12 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     """Integrate one conditioned trajectory.
 
     Deterministic in (cfg.seed, cfg, initial): the noise stream is drawn
-    from SeedSequence(seed, spawn_key=(0,)), the same stream ensemble run 0
-    would use. Records state, the instantaneous detector sample I(t_k) that
-    drives the following step, the running time-averaged output, and the
-    entanglement branch values every record_stride steps (the final step is
-    always recorded; its sample is the draw after the last step).
+    from SeedSequence(seed, spawn_key=(0,)), as chunk 0 of width 1, so the
+    run is run 0 of an ensemble of one. Records state, the instantaneous
+    detector sample I(t_k) that drives the following step, the running
+    time-averaged output, and the entanglement branch values every
+    record_stride steps (the final step is always recorded; its sample is
+    the draw after the last step).
 
     An initial state exactly on the closed class runs on the one-lane class
     kernel (_lane_stepper): five Python floats per step, bitwise equal to

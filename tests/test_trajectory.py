@@ -67,7 +67,9 @@ def lanes_advance(p, y, xi, cfg, floor):
 
 def run_batch(cfg, initial, n_runs, checkpoints=frozenset()):
     """Small ensemble on the batch class kernel through simulate's stepping
-    loop, run i on the noise stream of ensemble run i; returns the final
+    loop, its lanes on the ensemble's chunk-0 stream drawn step-major
+    across all n_runs lanes (an ensemble's runs for n_runs <= 256, and
+    simulate's for n_runs = 1); returns the final
     (p, y), the summed (trace corrections, clipped magnitude, lanes
     clipped) and {step: (p, y)} from the loop's blocks."""
     lanes = trajectory._ClassLanes(n_runs).load(initial.diag, initial.mat[1, 2].imag)

@@ -612,8 +612,7 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
     reads one unbroken stream. Both are views, valid until the next block.
     health is the running (sum of |tr - 1|, clipped magnitude, lanes
     clipped). A DivergenceError is raised again with the step it happened
-    at. A state held as a tuple (the one-lane stepper's) is written into
-    the block once per block, any other state once per step.
+    at.
     """
     n_steps = cfg.n_steps
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
@@ -628,14 +627,12 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
     first = np.asarray(state)
     states = np.empty((_EVENT_BLOCK + 1, *first.shape), first.dtype)
     states[0] = first
-    lane = isinstance(state, tuple)
     corrections = clip_total = 0.0
     n_clips = 0
     for k0 in range(0, n_steps, _EVENT_BLOCK):
         n = min(_EVENT_BLOCK, n_steps - k0)
         fresh = 1 if k0 else 0
         np.multiply(draw(k0 + fresh, k0 + n + 1), sigma, out=xi[fresh : n + 1])
-        rows = []
         for i in range(n):
             try:
                 state, corr, clipped, n_c = advance(state, xi[i])
@@ -644,12 +641,7 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
             corrections += corr
             clip_total += clipped
             n_clips += n_c
-            if lane:
-                rows.append(state)
-            else:
-                states[i + 1] = state
-        if lane:
-            states[1 : n + 1] = rows
+            states[i + 1] = state
         yield k0, states[: n + 1], xi[: n + 1], (corrections, clip_total, n_clips)
         states[0] = states[n]
         xi[0] = xi[n]

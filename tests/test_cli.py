@@ -340,3 +340,19 @@ def test_validate_check_functions():
     assert ok, detail
     ok, detail = cli._check_projective_mc(2000, 10)
     assert ok, detail
+
+
+def test_validate_fails_on_a_numpy_false(monkeypatch, capsys):
+    """A check that fails with a numpy bool, as several checks return,
+    fails the suite: exit 1, a FAIL line and the pass count shows it. The
+    step-bias line is printed and not counted."""
+    for name in ("_check_worked_examples", "_check_sigma_state", "_check_concurrence_oracle",
+                 "_check_crossing", "_check_zeno_rise"):
+        monkeypatch.setattr(cli, name, lambda *a: (np.True_, "stub"))
+    monkeypatch.setattr(cli, "_check_projective_mc", lambda *a: (np.False_, "stub"))
+    monkeypatch.setattr(cli, "coupled_step_bias", lambda *a: (0.0, 0.0))
+    assert main(["validate", "--suite", "fast"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[-2] for ln in lines[:-1]].count("FAIL") == 1
+    assert " INFO " in lines[-2]
+    assert lines[-1] == "suite fast: 5/6 checks passed"

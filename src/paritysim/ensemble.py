@@ -36,7 +36,8 @@ from .trajectory import (
     _CHUNK,
     SimConfig,
     TrajectoryRecord,
-    _ClassLanes,
+    _class_rows,
+    _class_stepper,
     _record_steps,
     _step_blocks,
     clip_floor,
@@ -232,11 +233,12 @@ class EnsembleStats:
 def _ensemble_chunk(args) -> dict:
     """Runs [lo, hi): the batched mirror of trajectory.simulate.
 
-    The lanes step in place on the batch class kernel (_ClassLanes), which
-    is bitwise the one-lane stepper of simulate, through simulate's
-    stepping loop trajectory._step_blocks, on the chunk's one noise stream
-    drawn step-major across its runs: a run's draws depend on the width of
-    its chunk, so a partial last chunk draws differently from a full one.
+    The lanes are (5, n) class rows stepped by _class_stepper: the class
+    step that simulate runs on one lane's Python floats, run here on rows,
+    so the two agree bit for bit. They go through simulate's stepping loop
+    trajectory._step_blocks, on the chunk's one noise stream drawn
+    step-major across its runs: a run's draws depend on the width of its
+    chunk, so a partial last chunk draws differently from a full one.
     At the end of each block of steps the branch maximum is evaluated once
     for all of its states, and the record columns, border crossings and
     rise times of the block are found with array operations. At the
@@ -249,14 +251,14 @@ def _ensemble_chunk(args) -> dict:
     cfg, p0, y0, lo, hi, rise_threshold = args
     n, dt = hi - lo, cfg.dt
     rec_at = _record_steps(cfg)
-    lanes = _ClassLanes(n).load(p0, y0)
-    advance = lanes.stepper(cfg, clip_floor(cfg))
+    rows = _class_rows(p0, y0, n)
+    advance = _class_stepper(cfg, clip_floor(cfg))
     lam_rec = np.empty((n, rec_at.size))
     rise = np.full(n, np.nan)
     crossings = []
     slot = 0
     try:
-        for k0, blk, _, health in _step_blocks(cfg, lo, hi, lanes.s, advance):
+        for k0, blk, _, health in _step_blocks(cfg, lo, hi, rows, advance):
             # row i of the block is step k0 + i
             k1 = k0 + len(blk) - 1
             l1, l2, l3 = lambda_branch_values(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
@@ -399,13 +401,14 @@ def coupled_step_bias(
     Each run steps twice from initial over cfg.duration on one Brownian
     path: at cfg.dt / 2 on standard normals z, and at cfg.dt on
     (z[2k] + z[2k + 1]) / sqrt(2), the same increment over the coarse step
-    (Kloeden & Platen, Numerical Solution of SDEs, 1992). Both go through
-    _step_blocks. Returns the mean over runs of max(Lambda, 0) at the end
-    at dt minus that at dt / 2, and the standard error of that mean; a step
-    whose error at dt is below the Monte Carlo error reads within a few
-    standard errors of 0. Runs come in _CHUNK-run chunks, and chunk c reads
-    z from SeedSequence(seed, spawn_key=(c,)), the stream its ensemble
-    chunk steps on at dt / 2.
+    (Kloeden & Platen, Numerical Solution of SDEs, 1992). Both step the
+    chunk's (5, n) class rows with _class_stepper through _step_blocks, the
+    class step an ensemble runs. Returns the mean over runs of
+    max(Lambda, 0) at the end at dt minus that at dt / 2, and the standard
+    error of that mean; a step whose error at dt is below the Monte Carlo
+    error reads within a few standard errors of 0. Runs come in _CHUNK-run
+    chunks, and chunk c reads z from SeedSequence(seed, spawn_key=(c,)),
+    the stream its ensemble chunk steps on at dt / 2.
     """
     fine = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
     if fine.n_steps != 2 * cfg.n_steps:
@@ -422,10 +425,10 @@ def coupled_step_bias(
 
         ends = []
         for c, draw in ((cfg, coarse), (fine, lambda k0, k1: z[k0:k1])):
-            lanes = _ClassLanes(hi - lo).load(p0, y0)
-            for _ in _step_blocks(c, lo, hi, lanes.s, lanes.stepper(c, clip_floor(c)), draw):
+            rows, advance = _class_rows(p0, y0, hi - lo), _class_stepper(c, clip_floor(c))
+            for _, blk, _, _ in _step_blocks(c, lo, hi, rows, advance, draw):
                 pass
-            l1, l2, l3 = lambda_branch_values(*lanes.unload())
+            l1, l2, l3 = lambda_branch_values(blk[-1, :4].T, blk[-1, 4])
             ends.append(np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0))
         diff[lo:hi] = ends[0] - ends[1]
     return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(n_runs))

@@ -26,13 +26,13 @@ projected in closed form on the exact spectrum; the (n, 4, 4) kernel
 step_batch, with the eigh projection clip_negative_eigenvalues, serves
 states off the class.
 
-The batch class kernel is _ClassLanes: n lanes held as one (5, n) row
-array p1, p2, p3, p4, y and stepped in place through scratch rows made
-once. A single trajectory steps its one lane on Python floats
-(_lane_stepper), which makes the same float operations in the same order
-as the batch kernel and hands every lane near the positivity boundary to
-the kernel's repair at n = 1, so the two agree bit for bit. A change to
-the class step (a split-step integrator, say) must change both together.
+The class step is written once, as _class_step on the five values p1,
+p2, p3, p4, y and the scaled draw. It uses only +, - and *, so the same
+source runs on Python floats for a single trajectory (_lane_stepper) and
+on (n,) rows for n lanes held as one (5, n) array (_class_stepper), and
+the two agree bit for bit. Both renormalize with the same divisions and
+repair through _class_repair, the one closed-form projection on (5, n)
+rows; the lane reaches it at n = 1 when its prefilter cannot clear it.
 
 One loop, _step_blocks, steps every state: it draws the noise of a chunk
 of up to _CHUNK runs from one stream a block at a time, applies the
@@ -245,8 +245,6 @@ def clip_floor(cfg: SimConfig) -> float:
 # bound keeps every unrepaired 2x2 determinant p2 p3 - y^2 above -1e-15
 _CLASS_SLACK = 1e-15
 _TRACE_DRIFT = 1e-6
-# I_i for the row pairs (p1, p2) and (p3, p4): +1 and -1
-_PARITY_SIGNS = _I[::2, None]
 _TINY = math.ulp(0.0)
 
 
@@ -268,161 +266,100 @@ def _trace_deviation(tr: np.ndarray) -> np.ndarray:
     return dev
 
 
-class _ClassLanes:
-    """n class lanes stepped in place: the batch class kernel.
+def _class_step(p1, p2, p3, p4, y, a, coef):
+    """step_batch on the closed class, with a = xi dt / S0 and coef from
+    _drive_coefficients: the five values after the step and their trace,
+    before renormalization.
 
-    The state s is one (5, n) array with rows p1, p2, p3, p4 and y. The
-    scratch rows and every view the step uses are made here once, and each
-    ufunc writes through out=; rows that share an operation take one call.
-    The float operations and their order are those of the formulas in the
-    docstrings of drive and repair, so every lane is bitwise what
-    _lane_stepper makes of it.
+    With m = (p1 + p2) - (p3 + p4) the mean current: p_i *= 1 + a (I_i
+    - m); the drive moves 2 delta dt y from u2 to u3; y becomes
+    y (1 - m a - (1/(2 S0) + gamma23) dt) + delta dt (p2 - p3), decaying
+    at the measurement rate and fed by the drive. Only +, - and * occur, so
+    the same source makes the same bits on Python floats (one lane, in
+    simulate) and on (n,) rows (n lanes, in ensembles).
     """
+    flow_c, feed_c, decay_c = coef
+    m = (p1 + p2) - (p3 + p4)
+    even = 1.0 + a * (1.0 - m)
+    odd = 1.0 + a * (-1.0 - m)
+    flow = flow_c * y
+    y = y * (1.0 - m * a - decay_c) + feed_c * (p2 - p3)
+    p1 = p1 * even
+    p2 = p2 * even - flow
+    p3 = p3 * odd + flow
+    p4 = p4 * odd
+    return p1, p2, p3, p4, y, ((p1 + p2) + p3) + p4
 
-    def __init__(self, n: int):
-        self.s = s = np.empty((5, n))
-        (self.tr, self.dev, self.m, self.flow, self.feed, self.yfac, self.r,
-         self.low, self.clip, self.norm, self.r2, self.scale, self.hc,
-         self.dc) = np.empty((14, n))
-        self.pair = np.empty((2, n))
-        self.fac = np.empty((2, n))     # 1 + a (I - m) for even and odd rows
-        self.hd = np.empty((2, n))      # h = (p2 + p3)/2, d = (p2 - p3)/2
-        self.spec = np.empty((4, n))    # p1, l+, l-, p4
-        self.new = np.empty((5, n))     # the repaired lanes
-        self.flags = np.empty((5, n), dtype=bool)   # one row per state row
-        self.firsts, self.seconds = s[0:4:2], s[1:4:2]  # (p1, p3), (p2, p4)
-        self.ends = s[0:4:3]                              # p1, p4
-        self.blocks = s[:4].reshape(2, 2, n)              # (p1, p2), (p3, p4)
-        self.spec_ends = self.spec[0:4:3]
-        self.spec_out = self.spec[0:2]                    # p1, l+
-        self.spec_in = self.spec[3:1:-1]                  # p4, l-
-        self.new_out = self.new[0:2]
-        self.new_in = self.new[3:1:-1]
 
-    def load(self, p: np.ndarray, y) -> "_ClassLanes":
-        """Fill the rows from populations p, shape (n, 4) or (4,), and y."""
-        self.s[:4] = np.asarray(p).T.reshape(4, -1)
-        self.s[4] = y
-        return self
+def _class_repair(s: np.ndarray, floor: float) -> tuple[float, int]:
+    """Closed-form positivity projection of (5, n) class rows s, in place.
 
-    def unload(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of (p, y) in the (n, 4), (n,) layout."""
-        return self.s[:4].T.copy(), self.s[4].copy()
+    The spectrum of a class state is p1, p4 and l+- = h +- r, with
+    h = (p2 + p3)/2 and r = hypot((p2 - p3)/2, y). Lanes whose smallest
+    of p1, p4 and l- is below -_CLASS_SLACK get every negative eigenvalue
+    clipped to zero, keeping the eigenvectors, and are renormalized: the
+    projection clip_negative_eigenvalues makes with eigh. Other lanes
+    stay unchanged. An eigenvalue below -floor raises DivergenceError.
+    Returns (clipped magnitude, lanes clipped). Every operation is lane by
+    lane, so a lane's result does not depend on the other lanes.
+    """
+    p1, p2, p3, p4, y = s
+    h, d = (p2 + p3) * 0.5, (p2 - p3) * 0.5
+    r = np.hypot(d, y)
+    spec = np.array([p1, h + r, h - r, p4])
+    low = np.minimum(np.minimum(p1, p4), spec[2])
+    worst = float(low.min())
+    if worst >= -_CLASS_SLACK:
+        return 0.0, 0
+    if worst < -floor:
+        raise DivergenceError(
+            f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
+            "integrator divergence (dt too large?)"
+        )
+    flag = low < -_CLASS_SLACK
+    kept = np.maximum(spec, 0.0)
+    c1, cp, cm, c4 = kept - spec
+    total = float(((c1 + c4) + (cp + cm))[flag].sum())
+    k1, kp, km, k4 = kept
+    # the u2-u3 block keeps its eigenvectors: its Bloch part (d, y) scales
+    # by (l+ - l-) / (2 r). r = 0 only where the two eigenvalues coincide,
+    # and there the scale is 0: l+ - l- is exactly 0, and the smallest
+    # subnormal stands in for 2 r, which is never below it
+    scale = (kp - km) / np.maximum(r * 2.0, _TINY)
+    hc, dc = (kp + km) * 0.5, scale * d
+    new = np.array([k1, hc + dc, hc - dc, k4, scale * y])
+    new /= (k1 + k4) + (kp + km)
+    np.copyto(s, new, where=flag)
+    return total, int(np.count_nonzero(flag))
 
-    def drive(self, a: np.ndarray, coef) -> None:
-        """step_batch on the closed class, with a = xi dt / S0 per lane.
 
-        With m = (p1 + p2) - (p3 + p4) the mean current: p_i *= 1 + a (I_i
-        - m); the drive moves 2 delta dt y from u2 to u3; y becomes
-        y (1 - m a - (1/(2 S0) + gamma23) dt) + delta dt (p2 - p3), decaying
-        at the measurement rate and fed by the drive. The trace is left for
-        renormalize.
-        """
-        flow_c, feed_c, decay_c = coef
-        s, m, fac, flow, feed, yfac = self.s, self.m, self.fac, self.flow, self.feed, self.yfac
-        np.add(self.firsts, self.seconds, out=self.pair)  # p1 + p2, p3 + p4
-        np.subtract(self.pair[0], self.pair[1], out=m)
-        np.subtract(_PARITY_SIGNS, m, out=fac)
-        fac *= a
-        fac += 1.0
-        np.multiply(s[4], flow_c, out=flow)
-        np.subtract(s[1], s[2], out=feed)
-        feed *= feed_c
-        np.multiply(m, a, out=yfac)
-        np.subtract(1.0, yfac, out=yfac)
-        yfac -= decay_c
-        s[4] *= yfac
-        s[4] += feed
-        np.multiply(self.blocks, fac[:, None], out=self.blocks)
-        s[1] -= flow
-        s[2] += flow
+def _class_rows(p, y, n: int) -> np.ndarray:
+    """(5, n) rows p1, p2, p3, p4, y of n class lanes from populations p,
+    shape (n, 4) or (4,), and y."""
+    s = np.empty((5, n))
+    s[:4] = np.asarray(p).T.reshape(4, -1)
+    s[4] = y
+    return s
 
-    def renormalize(self) -> float:
-        """The trace check and renormalization; returns the sum of |tr - 1|."""
-        s, tr, dev = self.s, self.tr, self.dev
-        np.add(s[0], s[1], out=tr)
-        tr += s[2]
-        tr += s[3]
-        np.subtract(tr, 1.0, out=dev)
-        np.abs(dev, out=dev)
-        total = float(dev.sum())
+
+def _class_stepper(cfg: SimConfig, floor: float):
+    """The state update _step_blocks applies to (5, n) class rows s, one
+    integrator step: _class_step on the scaled draws, the trace check and
+    renormalization, _class_repair. Returns advance(s, xi) -> (s, sum of
+    |tr - 1|, clipped magnitude, lanes clipped)."""
+    per_xi = cfg.dt / cfg.s0
+    coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+
+    def advance(s, xi):
+        *rows, tr = _class_step(*s, xi * per_xi, coef)
+        dev = float(np.abs(tr - 1.0).sum())
         # a sum within the bound clears every lane; otherwise look lane by lane
-        if not total <= _TRACE_DRIFT:
+        if not dev <= _TRACE_DRIFT:
             _trace_deviation(tr)
-        s /= tr
-        return total
+        s = np.divide(rows, tr)
+        return (s, dev, *_class_repair(s, floor))
 
-    def repair(self, floor: float) -> tuple[float, int]:
-        """Closed-form positivity projection of the lanes.
-
-        The spectrum of a class state is p1, p4 and l+- = h +- r, with
-        h = (p2 + p3)/2 and r = hypot((p2 - p3)/2, y). Lanes whose smallest
-        of p1, p4 and l- is below -_CLASS_SLACK get every negative eigenvalue
-        clipped to zero, keeping the eigenvectors, and are renormalized: the
-        projection clip_negative_eigenvalues makes with eigh. Other lanes
-        stay unchanged. An eigenvalue below -floor raises DivergenceError.
-        Returns (clipped magnitude, lanes clipped).
-        """
-        s, hd, r, spec, low = self.s, self.hd, self.r, self.spec, self.low
-        np.add(s[1], s[2], out=hd[0])
-        np.subtract(s[1], s[2], out=hd[1])
-        hd *= 0.5
-        np.hypot(hd[1], s[4], out=r)
-        self.spec_ends[...] = self.ends
-        np.add(hd[0], r, out=spec[1])
-        np.subtract(hd[0], r, out=spec[2])
-        np.minimum(spec[0], spec[3], out=low)
-        np.minimum(low, spec[2], out=low)
-        worst = float(low.min())
-        if worst >= -_CLASS_SLACK:
-            return 0.0, 0
-        np.less(low, -_CLASS_SLACK, out=self.flags)
-        flag = self.flags[0]
-        if worst < -floor:
-            raise DivergenceError(
-                f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
-                "integrator divergence (dt too large?)"
-            )
-        new, pair, norm, scale = self.new, self.pair, self.norm, self.scale
-        kept = new[:4]
-        np.maximum(spec, 0.0, out=kept)
-        np.subtract(kept, spec, out=spec)
-        np.add(self.spec_out, self.spec_in, out=pair)
-        np.add(pair[0], pair[1], out=self.clip)
-        total = float(self.clip[flag].sum())
-        np.add(self.new_out, self.new_in, out=pair)
-        np.add(pair[0], pair[1], out=norm)
-        # the u2-u3 block keeps its eigenvectors: its Bloch part (d, y)
-        # scales by (l+ - l-) / (2 r). r = 0 only where the two eigenvalues
-        # coincide, and there the scale is 0: l+ - l- is exactly 0, and the
-        # smallest subnormal stands in for 2 r, which is never below it
-        np.subtract(new[1], new[2], out=self.dc)
-        np.multiply(r, 2.0, out=self.r2)
-        np.maximum(self.r2, _TINY, out=self.r2)
-        np.divide(self.dc, self.r2, out=scale)
-        np.add(new[1], new[2], out=self.hc)
-        self.hc *= 0.5
-        np.multiply(scale, hd[1], out=self.dc)
-        np.add(self.hc, self.dc, out=new[1])
-        np.subtract(self.hc, self.dc, out=new[2])
-        np.multiply(scale, s[4], out=new[4])
-        new /= norm
-        np.putmask(s, self.flags, new)
-        return total, int(np.count_nonzero(flag))
-
-    def advance(self, a: np.ndarray, coef, floor: float) -> tuple[float, float, int]:
-        """One integrator step: drive, the trace check and renormalization,
-        repair. Returns (sum of |tr - 1|, clipped magnitude, lanes clipped)."""
-        self.drive(a, coef)
-        dev = self.renormalize()
-        return (dev, *self.repair(floor))
-
-    def stepper(self, cfg: SimConfig, floor: float):
-        """The state update _step_blocks applies to these lanes: advance on
-        the scaled draws, with the rows s as the state."""
-        per_xi = cfg.dt / cfg.s0
-        coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
-        return lambda s, xi: (s, *self.advance(xi * per_xi, coef, floor))
+    return advance
 
 
 def _advance_full(
@@ -454,33 +391,21 @@ _LANE_MARGIN = 1e-12
 
 
 def _lane_stepper(cfg: SimConfig, floor: float):
-    """_ClassLanes.advance for a single lane held as five Python floats.
+    """_class_stepper for a single lane held as five Python floats.
 
     Returns advance(lane, xi) -> (lane, |tr - 1|, clipped magnitude, lanes
     clipped), with lane = (p1, p2, p3, p4, y) and xi a one-element array.
-    The float operations and their order are those of _ClassLanes.drive
-    and renormalize. A bad trace raises through _trace_deviation, and lanes
-    the prefilter above cannot clear go to the repair of a one-lane
-    _ClassLanes, which alone decides and makes a repair.
+    The step is _class_step on the floats, and the trace check and
+    renormalization make the float operations of _class_stepper. A bad
+    trace raises through _trace_deviation, and lanes the prefilter above
+    cannot clear go to _class_repair at n = 1, which alone decides and
+    makes a repair.
     """
     per_xi = cfg.dt / cfg.s0
-    flow_c, feed_c, decay_c = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
-    one = _ClassLanes(1)
-    rows, repair = one.s, one.repair
+    coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
 
     def advance(lane, xi):
-        p1, p2, p3, p4, y = lane
-        m = (p1 + p2) - (p3 + p4)
-        a = xi.item() * per_xi
-        even = 1.0 + a * (1.0 - m)
-        odd = 1.0 + a * (-1.0 - m)
-        flow = flow_c * y
-        y = y * (1.0 - m * a - decay_c) + feed_c * (p2 - p3)
-        p1 = p1 * even
-        p2 = p2 * even - flow
-        p3 = p3 * odd + flow
-        p4 = p4 * odd
-        tr = ((p1 + p2) + p3) + p4
+        p1, p2, p3, p4, y, tr = _class_step(*lane, xi.item() * per_xi, coef)
         dev = abs(tr - 1.0)
         if not dev <= _TRACE_DRIFT:
             _trace_deviation(np.array([tr]))
@@ -494,9 +419,9 @@ def _lane_stepper(cfg: SimConfig, floor: float):
         if p1 < 0.0 or p4 < 0.0 or h < 0.0 or (
             h * h - (d * d + y * y) < _LANE_MARGIN and not p2 == p3 == y == 0.0
         ):
-            rows[:, 0] = (p1, p2, p3, p4, y)
-            clipped, n_c = repair(floor)
-            return tuple(rows[:, 0].tolist()), dev, clipped, n_c
+            s = np.array([[p1], [p2], [p3], [p4], [y]])
+            clipped, n_c = _class_repair(s, floor)
+            return tuple(s[:, 0].tolist()), dev, clipped, n_c
         return (p1, p2, p3, p4, y), dev, 0.0, 0
 
     return advance
@@ -658,15 +583,14 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     record_stride steps (the final step is always recorded; its sample is
     the draw after the last step).
 
-    An initial state exactly on the closed class runs on the one-lane class
-    kernel (_lane_stepper): five Python floats per step, bitwise equal to
-    _ClassLanes at n = 1 with the same noise (tested against a batch of
-    one). Any other state runs on the (n, 4, 4) kernel. Both go through
-    _step_blocks; per block, the currents and the running integral come
-    from the block's states and draws with array operations, the integral
-    summed in step order by np.add.accumulate. A new class step (the
-    planned split-step integrator) must change _lane_stepper and
-    _ClassLanes together.
+    An initial state exactly on the closed class runs _class_step on five
+    Python floats per step (_lane_stepper), the source the ensembles run on
+    rows, so it is bitwise the batch stepper at n = 1 with the same noise
+    (tested against a batch of one). Any other state runs on the
+    (n, 4, 4) kernel. Both go through _step_blocks; per block, the
+    currents and the running integral come from the block's states and
+    draws with array operations, the integral summed in step order by
+    np.add.accumulate.
     """
     dt = cfg.dt
     floor = clip_floor(cfg)

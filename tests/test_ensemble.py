@@ -30,8 +30,8 @@ from paritysim.trajectory import (
     _EVENT_BLOCK,
     C_NOISE,
     SimConfig,
-    _ClassLanes,
-    _drive_coefficients,
+    _class_rows,
+    _class_stepper,
     simulate,
 )
 
@@ -151,7 +151,7 @@ def test_ensemble_deterministic_and_jobs_invariant():
 def _stepped_ensemble(args):
     """Plain per-step transcription of _ensemble_chunk.
 
-    _ClassLanes.advance steps on the chunk's one noise stream, drawn
+    The batch class stepper steps on the chunk's one noise stream, drawn
     step-major in one call, the branch maximum after every step, and the
     event and rise rules of events_from_series written out lane by lane.
     """
@@ -163,10 +163,9 @@ def _stepped_ensemble(args):
     sigma = math.sqrt(C_NOISE * cfg.s0 / dt)
     g = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(lo // _CHUNK,)))
     xi = g.standard_normal((n_steps, n)) * sigma
-    floor = trajectory.clip_floor(cfg)
-    coef = _drive_coefficients(dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
-    lanes = _ClassLanes(n).load(p0, y0)
-    p, y = lanes.unload()
+    advance = _class_stepper(cfg, trajectory.clip_floor(cfg))
+    s = _class_rows(p0, y0, n)
+    p, y = s[:4].T, s[4]
     lam_rec = np.empty((n, len(rec_steps)))
     genesis, rise = np.full(n, np.nan), np.full(n, np.nan)
     events = [[] for _ in range(n)]
@@ -200,8 +199,8 @@ def _stepped_ensemble(args):
         prev = lam
         if k == n_steps:
             break
-        corr, clipped, n_c = lanes.advance(xi[k] * (dt / cfg.s0), coef, floor)
-        p, y = lanes.unload()
+        s, corr, clipped, n_c = advance(s, xi[k])
+        p, y = s[:4].T, s[4]
         corrections += corr
         clip_total += clipped
         n_clips += n_c

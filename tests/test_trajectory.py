@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.linalg import expm
 
 from conftest import random_closed_class_bell, random_density_bell
@@ -53,32 +54,28 @@ def hamiltonian(delta: float) -> np.ndarray:
     return h
 
 
-def class_lanes(p, y):
-    return trajectory._ClassLanes(len(y)).load(p, y)
-
-
 def lanes_advance(p, y, xi, cfg, floor):
-    """One step of class lanes (p, y) on draws xi on the batch kernel;
+    """One step of class lanes (p, y) on draws xi on the batch stepper;
     returns (p, y, sum of |tr - 1|, clipped magnitude, lanes clipped)."""
-    lanes = class_lanes(p, y)
-    _, *health = lanes.stepper(cfg, floor)(lanes.s, xi)
-    return (*lanes.unload(), *health)
+    advance = trajectory._class_stepper(cfg, floor)
+    s, *health = advance(trajectory._class_rows(p, y, len(y)), xi)
+    return (s[:4].T, s[4], *health)
 
 
 def run_batch(cfg, initial, n_runs, checkpoints=frozenset()):
-    """Small ensemble on the batch class kernel through simulate's stepping
+    """Small ensemble on the batch class stepper through simulate's stepping
     loop, its lanes on the ensemble's chunk-0 stream drawn step-major
     across all n_runs lanes (an ensemble's runs for n_runs <= 256, and
     simulate's for n_runs = 1); returns the final
     (p, y), the summed (trace corrections, clipped magnitude, lanes
     clipped) and {step: (p, y)} from the loop's blocks."""
-    lanes = trajectory._ClassLanes(n_runs).load(initial.diag, initial.mat[1, 2].imag)
-    advance = lanes.stepper(cfg, trajectory.clip_floor(cfg))
+    rows = trajectory._class_rows(initial.diag, initial.mat[1, 2].imag, n_runs)
+    advance = trajectory._class_stepper(cfg, trajectory.clip_floor(cfg))
     grabbed = {}
-    for k0, states, _, health in trajectory._step_blocks(cfg, 0, n_runs, lanes.s, advance):
+    for k0, states, _, health in trajectory._step_blocks(cfg, 0, n_runs, rows, advance):
         for k in checkpoints & set(range(k0 + 1, k0 + len(states))):
             grabbed[k] = (states[k - k0, :4].T.copy(), states[k - k0, 4].copy())
-    return lanes.unload(), health, grabbed
+    return (states[-1, :4].T.copy(), states[-1, 4].copy()), health, grabbed
 
 
 def class_matrices(p, y):
@@ -257,7 +254,7 @@ def test_class_subsystem_tracks_full_states(rng):
     of the 4x4 update follow the class kernel: the subsystem is closed."""
     cfg = SimConfig(k_ratio=1.0, duration=1.0)
     rho = np.array([random_density_bell(rng) for _ in range(32)])
-    lanes = class_lanes(np.real(np.einsum("nii->ni", rho)), np.imag(rho[:, 1, 2]))
+    s = trajectory._class_rows(np.real(np.einsum("nii->ni", rho)), np.imag(rho[:, 1, 2]), 32)
     coef = trajectory._drive_coefficients(cfg.dt, cfg.s0, cfg.delta, 0.0)
     for _ in range(50):
         xi = rng.normal(0.0, math.sqrt(cfg.s0 / cfg.dt), rho.shape[0])
@@ -265,9 +262,9 @@ def test_class_subsystem_tracks_full_states(rng):
             trajectory.step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma)
         )
         rho /= np.real(np.einsum("nii->n", rho))[:, None, None]
-        lanes.drive(xi * (cfg.dt / cfg.s0), coef)
-        lanes.renormalize()
-    p, y = lanes.unload()
+        *rows, tr = trajectory._class_step(*s, xi * (cfg.dt / cfg.s0), coef)
+        s = np.divide(rows, tr)
+    p, y = s[:4].T, s[4]
     assert np.max(np.abs(np.real(np.einsum("nii->ni", rho)) - p)) <= 1e-14
     assert np.max(np.abs(np.imag(rho[:, 1, 2]) - y)) <= 1e-14
 
@@ -291,7 +288,7 @@ def test_class_path_positivity_is_exact():
 
 
 def test_simulate_lane_equals_batch_of_one():
-    """simulate's one-lane class kernel is bitwise _ClassLanes at n = 1:
+    """simulate's one-lane class stepper is bitwise the batch stepper at n = 1:
     recorded states, currents and the health totals, over the regimes, an
     environment rate, a record stride, a start with y != 0 and a Bell-state
     start, whose lane never reaches the repair."""
@@ -324,18 +321,94 @@ def test_simulate_lane_equals_batch_of_one():
     assert repairs > 0
 
 
+def bits(values):
+    """The float64 bit patterns of values, for comparisons that tell -0.0
+    from 0.0."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def class_lanes(draw):
+    """(5, n) rows of random class lanes and one draw a per lane. A lane is
+    in the bulk, has y up to 5% beyond the 2x2 bound sqrt(p2 p3), has an
+    empty u2-u3 block (p2 = p3 = y = 0), or has p1 or p4 pushed up to 0.01
+    below zero, so the repair sees flagged and unflagged lanes."""
+    lanes, a = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))) + 1e-3
+        p = w / w.sum()
+        y = draw(st.floats(-1.05, 1.05)) * math.sqrt(p[1] * p[2])
+        kind = draw(st.sampled_from(("bulk", "empty", "negative")))
+        if kind == "empty":
+            p[1] = p[2] = y = 0.0
+        elif kind == "negative":
+            p[draw(st.sampled_from((0, 3)))] -= draw(st.floats(0.0, 0.01))
+        lanes.append((*p, y))
+        a.append(draw(st.floats(-0.5, 0.5)))
+    return np.array(lanes).T, np.array(a)
+
+
+# lanes: unflagged bulk, flagged by y > sqrt(p2 p3), an unflagged empty u2-u3
+# block, and an empty block flagged by p1 < 0
+EDGE_LANES = (
+    np.array([[0.25, 0.1, 0.5, -1e-3],
+              [0.25, 0.4, 0.0, 0.0],
+              [0.25, 0.4, 0.0, 0.0],
+              [0.25, 0.1, 0.5, 1.001],
+              [0.1, 0.41, 0.0, 0.0]]),
+    np.array([0.03, -0.2, 0.1, 0.0]),
+)
+
+
+@given(lanes=class_lanes(), delta=st.floats(0.0, 10.0), gamma23=st.floats(0.0, 5.0))
+@example(lanes=EDGE_LANES, delta=2.0 * math.pi, gamma23=0.7)
+def test_class_step_same_bits_on_floats_and_rows(lanes, delta, gamma23):
+    """_class_step on one lane's Python floats gives the bits it gives for
+    that lane on (n,) rows."""
+    s, a = lanes
+    coef = trajectory._drive_coefficients(0.005, 1.0, delta, gamma23)
+    rows = trajectory._class_step(*s, a, coef)
+    for j in range(s.shape[1]):
+        lane = trajectory._class_step(*s[:, j].tolist(), float(a[j]), coef)
+        assert all(type(v) is float for v in lane)
+        assert np.array_equal(bits(lane), bits([row[j] for row in rows]))
+
+
+@given(lanes=class_lanes())
+@example(lanes=EDGE_LANES)
+def test_class_repair_lane_equals_lane_of_batch(lanes):
+    """_class_repair on a one-lane array gives the bits that lane gets in
+    an n-lane call; unflagged lanes stay as they were, and the lanes
+    clipped add up."""
+    s, _ = lanes
+    floor = trajectory.clip_floor(SimConfig())
+    batch = s.copy()
+    total, n_clipped = trajectory._class_repair(batch, floor)
+    totals, counts = [], 0
+    for j in range(s.shape[1]):
+        one = s[:, j : j + 1].copy()
+        t, c = trajectory._class_repair(one, floor)
+        assert np.array_equal(bits(one), bits(batch[:, j : j + 1]))
+        if c == 0:
+            assert t == 0.0 and np.array_equal(bits(one), bits(s[:, j : j + 1]))
+        totals.append(t)
+        counts += c
+    assert counts == n_clipped
+    assert math.isclose(total, math.fsum(totals), rel_tol=1e-12, abs_tol=0.0)
+
+
 def test_lane_path_skips_repair_on_empty_u2_u3_block(monkeypatch):
     """From u1 or u4 the u2-u3 block stays exactly empty, so the lane
     prefilter clears every step without the repair; from the mixed state
     the same counter sees repairs."""
     calls = []
-    repair = trajectory._ClassLanes.repair
+    repair = trajectory._class_repair
 
-    def counting(self, floor):
+    def counting(s, floor):
         calls.append(floor)
-        return repair(self, floor)
+        return repair(s, floor)
 
-    monkeypatch.setattr(trajectory._ClassLanes, "repair", counting)
+    monkeypatch.setattr(trajectory, "_class_repair", counting)
     cfg = SimConfig(k_ratio=1.0, duration=2.0, seed=6)
     for name in ("bell-u1", "bell-u4"):
         rec = simulate(cfg, preset_state(name))
@@ -479,14 +552,14 @@ def test_parity_populations_martingale():
     n_steps = cfg.n_steps
     sigma = math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(1,)))
-    lanes = class_lanes(np.full(4, 0.25), np.zeros(n_runs))
+    s = trajectory._class_rows(np.full(4, 0.25), 0.0, n_runs)
     coef = trajectory._drive_coefficients(cfg.dt, cfg.s0, 0.0, 0.0)
     checkpoints = {n_steps // 4, n_steps // 2, n_steps}
     for k in range(n_steps):
         xi = rng.normal(0.0, sigma, n_runs)
-        lanes.drive(xi * (cfg.dt / cfg.s0), coef)
+        *s, _ = trajectory._class_step(*s, xi * (cfg.dt / cfg.s0), coef)
         if k + 1 in checkpoints:
-            p_odd = lanes.s[2] + lanes.s[3]
+            p_odd = s[2] + s[3]
             se = p_odd.std(ddof=1) / math.sqrt(n_runs)
             assert abs(p_odd.mean() - 0.5) < 3.0 * se + 1e-12
 
@@ -640,20 +713,20 @@ def test_off_class_positivity_on_exact_spectrum(tmp_path):
 @pytest.mark.parametrize("n_steps", [3 * _EVENT_BLOCK, 4096, 8192])
 def test_driver_noise_at_block_edges(n_steps):
     """At block-edge lengths simulate steps on draws 0 .. n_steps - 1 of the
-    spawn-key-0 stream (against a plain per-step loop of the lane stepper),
-    records currents that are the mean currents plus draws 0 .. n_steps,
-    the last one drawn after the last step, and an ensemble of one is
-    simulate."""
+    spawn-key-0 stream (against a plain per-step loop of the batch stepper
+    at n = 1), records currents that are the mean currents plus draws
+    0 .. n_steps, the last one drawn after the last step, and an ensemble
+    of one is simulate."""
     cfg = SimConfig(k_ratio=1.0, duration=n_steps / 200.0, dt=1.0 / 200.0, seed=5)
     assert cfg.n_steps == n_steps
     rec = simulate(cfg, MIXED)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
     xi = rng.normal(0.0, math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt), n_steps + 1)
-    step = trajectory._lane_stepper(cfg, trajectory.clip_floor(cfg))
-    lanes = [(*MIXED.diag.tolist(), 0.0)]
+    step = trajectory._class_stepper(cfg, trajectory.clip_floor(cfg))
+    lanes = [trajectory._class_rows(MIXED.diag, 0.0, 1)]
     for k in range(n_steps):
         lanes.append(step(lanes[-1], xi[k : k + 1])[0])
-    lanes = np.array(lanes)
+    lanes = np.array(lanes)[:, :, 0]
     assert np.array_equal(np.real(np.einsum("nii->ni", rec.states)), lanes[:, :4])
     assert np.array_equal(np.imag(rec.states[:, 1, 2]), lanes[:, 4])
     mean_i = ((lanes[:, 0] + lanes[:, 1]) - lanes[:, 2]) - lanes[:, 3]

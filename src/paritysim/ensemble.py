@@ -16,7 +16,6 @@ import dataclasses
 import enum
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ from .qstate import DensityMatrix, DivergenceError
 from .trajectory import (
     _CHUNK,
     SimConfig,
-    TrajectoryRecord,
     _class_rows,
     _class_stepper,
     _record_steps,
@@ -49,8 +47,6 @@ __all__ = [
     "EnsembleStats",
     "GenesisHistogram",
     "ValidationReport",
-    "events_from_series",
-    "detect_events",
     "run_ensemble",
     "coupled_step_bias",
     "genesis_histogram",
@@ -82,42 +78,6 @@ class BorderEvent:
     time: float
     kind: EventKind
     step: int
-
-
-def events_from_series(times: np.ndarray, lam: np.ndarray) -> list[BorderEvent]:
-    """Border events of one run from its sampled branch-maximum series.
-
-    Entangled means lam > 0. The first positive-going crossing of a run
-    that started unentangled is genesis; later positive-going crossings
-    are sudden births, negative-going ones sudden deaths. No program path
-    calls it: it is the reference for ensemble events in
-    test_ensemble_of_one_equals_single_trajectory.
-    """
-    times = np.asarray(times, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if times.shape != lam.shape or times.ndim != 1:
-        raise ValueError("times and lam must be matching 1-d arrays")
-    if np.isnan(lam).any():
-        raise ValueError("series left the closed X class; events undefined")
-    ent = lam > 0.0
-    events = []
-    genesis_seen = bool(ent[0])
-    for k in np.nonzero(ent[1:] != ent[:-1])[0]:
-        t0, t1 = times[k], times[k + 1]
-        t_star = t0 + (t1 - t0) * (lam[k] / (lam[k] - lam[k + 1]))
-        if ent[k + 1]:
-            kind = EventKind.SUDDEN_BIRTH if genesis_seen else EventKind.GENESIS
-            genesis_seen = True
-        else:
-            kind = EventKind.SUDDEN_DEATH
-        events.append(BorderEvent(float(t_star), kind, int(k + 1)))
-    return events
-
-
-def detect_events(record: TrajectoryRecord) -> list[BorderEvent]:
-    """Events of a recorded trajectory, at the record grid's resolution; the
-    reference for ensemble events in test_ensemble_of_one_equals_single_trajectory."""
-    return events_from_series(record.times, record.lam)
 
 
 @dataclass(frozen=True)
@@ -245,8 +205,9 @@ def _ensemble_chunk(args) -> dict:
     chunk's end the crossings are sorted by run into the event table: a
     run's first crossing is genesis if it goes up (the run started
     unentangled), later up-crossings sudden births, down-crossings sudden
-    deaths. The interpolation expressions are those of events_from_series,
-    so an ensemble of one reproduces detect_events exactly.
+    deaths. The interpolation expressions are those of events_from_series
+    in tests/event_reference.py, so an ensemble of one reproduces its
+    detect_events exactly.
     """
     cfg, p0, y0, lo, hi, rise_threshold = args
     n, dt = hi - lo, cfg.dt
@@ -319,6 +280,9 @@ def _ensemble_chunk(args) -> dict:
 
 def _map_chunks(fn, chunks, jobs: int) -> list:
     if jobs > 1 and len(chunks) > 1:
+        # imported here so a --jobs 1 process never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as ex:
             return list(ex.map(fn, chunks))
     return [fn(c) for c in chunks]

@@ -2,8 +2,9 @@
 
 Each step applies the u2-u3 block rotation by delta_angle and then a
 projective parity measurement. The chain never leaves the closed class, so
-runs are carried as populations and Im rho_23, and concurrence along them
-comes from the closed-class branch values. The closed-form step average
+runs are carried as (5, n) class rows p1, p2, p3, p4, y = Im rho_23, the
+layout the ensemble kernel steps, updated in place, and concurrence along
+them comes from the closed-class branch values. The closed-form step average
 1 - cos^(2(n-1)) delta acts as the oracle for the Monte Carlo.
 delta_angle is the literal rotation angle of the block (the u2 amplitude
 picks up cos delta), which is the angle the closed forms are expressed in.
@@ -26,9 +27,6 @@ __all__ = [
     "monte_carlo_average",
 ]
 
-_EVEN_POPS = np.array([1.0, 1.0, 0.0, 0.0])
-_ODD_POPS = np.array([0.0, 0.0, 1.0, 1.0])
-
 
 def rotation(delta_angle: float) -> np.ndarray:
     """Unitary of the inter-measurement evolution: a rotation by
@@ -40,44 +38,44 @@ def rotation(delta_angle: float) -> np.ndarray:
     return u
 
 
-def rotate_class(
-    p: np.ndarray, y: np.ndarray, delta_angle: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """rotation(delta_angle) applied to closed-class lanes: (n, 4)
-    populations and (n,) y = Im rho_23, returned as new arrays.
+def rotate_class(s: np.ndarray, delta_angle: float) -> None:
+    """rotation(delta_angle) applied in place to (5, n) class rows s:
+    p1, p2, p3, p4 and y = Im rho_23, one column per lane.
 
     The u2-u3 block is h + d sigma_z - y sigma_y with h, d the half sum and
     half difference of p2, p3; the rotation turns (d, y) by twice the
-    angle and leaves h, p1 and p4 alone.
+    angle and leaves h, p1 and p4 alone. The float operations and their
+    order are pinned bit for bit by a transcribed reference chain
+    (test_monte_carlo_matches_per_step_reference).
     """
-    c, s = math.cos(2.0 * delta_angle), math.sin(2.0 * delta_angle)
-    h = 0.5 * (p[:, 1] + p[:, 2])
-    d = 0.5 * (p[:, 1] - p[:, 2])
-    d_new = c * d - s * y
-    out = p.copy()
-    out[:, 1] = h + d_new
-    out[:, 2] = h - d_new
-    return out, c * y + s * d
+    c, sn = math.cos(2.0 * delta_angle), math.sin(2.0 * delta_angle)
+    h = 0.5 * (s[1] + s[2])
+    d = 0.5 * (s[1] - s[2])
+    d_new = c * d - sn * s[4]
+    np.add(h, d_new, out=s[1])
+    np.subtract(h, d_new, out=s[2])
+    s[4] = c * s[4] + sn * d
 
 
-def pulse_class(
-    p: np.ndarray, y: np.ndarray, delta_angle: float, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chain step on closed-class lanes: rotate by delta_angle, then
-    measure parity.
+def pulse_class(s: np.ndarray, delta_angle: float, u: np.ndarray) -> np.ndarray:
+    """One chain step, in place on (5, n) class rows s: rotate by
+    delta_angle, then measure parity. Returns the even mask.
 
     Lane i comes out even where u[i] < p_even, its Born probability after
     the rotation, so uniforms in [0, 1) never pick a zero-weight branch.
-    Returns the post-measurement populations and y, and the even mask.
+    The projection is (p * mask) / norm with a 0/1 mask, pinned bit for
+    bit like the rotation.
     """
-    p, y = rotate_class(p, y, delta_angle)
-    p_even = p[:, 0] + p[:, 1]
+    rotate_class(s, delta_angle)
+    p_even = s[0] + s[1]
     even = u < p_even
     # the projection keeps one parity block and, with it, drops the
     # u2-u3 coherence that links the blocks
-    mask = np.where(even[:, None], _EVEN_POPS, _ODD_POPS)
-    norm = np.where(even, p_even, 1.0 - p_even)
-    return p * mask / norm[:, None], np.zeros_like(y), even
+    s[:2] *= even
+    s[2:4] *= ~even
+    s[:4] /= np.where(even, p_even, 1.0 - p_even)
+    s[4] = 0.0
+    return even
 
 
 def average_concurrence(n: int, delta_angle: float) -> float:
@@ -109,18 +107,21 @@ def monte_carlo_average(
 
     Returns (mean concurrence, standard error) per step, shape (n_steps,).
     Deterministic in seed; all runs advance in lockstep on one stream,
-    one pulse_class step per step.
+    one pulse_class step per step on one (5, n_runs) array, with each
+    step's uniforms drawn into one reused row.
     """
     if n_steps < 1 or n_runs < 1:
         raise ValueError("n_steps and n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    p = np.full((n_runs, 4), 0.25)
-    y = np.zeros(n_runs)
+    s = np.full((5, n_runs), 0.25)
+    s[4] = 0.0
+    u = np.empty(n_runs)
     means = np.empty(n_steps)
     ses = np.empty(n_steps)
     for k in range(n_steps):
-        p, y, _ = pulse_class(p, y, delta_angle, rng.random(n_runs))
-        l1, l2, l3 = lambda_branch_values(p, y)
+        rng.random(out=u)
+        pulse_class(s, delta_angle, u)
+        l1, l2, l3 = lambda_branch_values(s[:4].T, s[4])
         c = np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0)
         means[k] = c.mean()
         ses[k] = c.std(ddof=1) / math.sqrt(n_runs)

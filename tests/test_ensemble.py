@@ -6,14 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from event_reference import detect_events, events_from_series
 from paritysim import ensemble, trajectory
 from paritysim.concurrence import lambda_branch_values
 from paritysim.ensemble import (
     BorderEvent,
     EnsembleStats,
     EventKind,
-    detect_events,
-    events_from_series,
     first_crossing_times,
     genesis_histogram,
     run_ensemble,

@@ -4,8 +4,11 @@ The post-measurement states of the first few steps have hand-computable
 closed forms; those, the step-average formula, and the absorbing property
 of an outcome flip are the oracles here. Outcomes are forced through the
 uniforms handed to pulse_class: 0.0 always reads even, the largest double
-below 1 odd wherever the odd branch has weight. Concurrences of the
-returned lanes come from the general Wootters machinery on the 4x4 matrix.
+below 1 odd wherever the odd branch has weight. Lanes are (5, n) class
+rows p1, p2, p3, p4, y, which rotate_class and pulse_class update in
+place, so a test that keeps an input or a per-step state copies it.
+Concurrences of the lanes come from the general Wootters machinery on the
+4x4 matrix.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import random_closed_class_bell
-from paritysim.concurrence import wootters_concurrence
+from paritysim.concurrence import lambda_branch_values, wootters_concurrence
 from paritysim.projective import (
     average_concurrence,
     monte_carlo_average,
@@ -24,29 +27,35 @@ from paritysim.projective import (
     zeno_comparison_curve,
 )
 from paritysim.qstate import sanitize
+from paritysim.trajectory import _class_rows
 
 EVEN = 0.0
 ODD = np.nextafter(1.0, 0.0)
 
 
-def mixed(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.full((n, 4), 0.25), np.zeros(n)
+def mixed(n: int) -> np.ndarray:
+    return _class_rows(np.full(4, 0.25), 0.0, n)
 
 
-def lane_matrices(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) Bell-basis matrices of closed-class lanes."""
-    mats = np.zeros((p.shape[0], 4, 4), dtype=complex)
-    mats[:, range(4), range(4)] = p
-    mats[:, 1, 2], mats[:, 2, 1] = 1j * y, -1j * y
+def class_lanes(mats: np.ndarray) -> np.ndarray:
+    """(5, n) rows of (n, 4, 4) closed-class Bell-basis matrices."""
+    return _class_rows(np.real(np.einsum("nii->ni", mats)), np.imag(mats[:, 1, 2]), len(mats))
+
+
+def lane_matrices(s: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) Bell-basis matrices of (5, n) class rows."""
+    mats = np.zeros((s.shape[1], 4, 4), dtype=complex)
+    mats[:, range(4), range(4)] = s[:4].T
+    mats[:, 1, 2], mats[:, 2, 1] = 1j * s[4], -1j * s[4]
     return mats
 
 
-def lane_concurrences(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.array([wootters_concurrence(sanitize(m).state) for m in lane_matrices(p, y)])
+def lane_concurrences(s: np.ndarray) -> np.ndarray:
+    return np.array([wootters_concurrence(sanitize(m).state) for m in lane_matrices(s)])
 
 
-def pulse(p, y, delta, u):
-    return pulse_class(p, y, delta, np.full(p.shape[0], u))
+def pulse(s, delta, u):
+    return pulse_class(s, delta, np.full(s.shape[1], u))
 
 
 def test_rotation_is_unitary_and_block_shaped():
@@ -68,23 +77,27 @@ def test_rotation_swaps_u2_u3_at_half_turn():
 def test_rotate_class_matches_rotation(rng):
     """The closed-class pulse is the 4x4 conjugation by rotation()."""
     mats = np.array([random_closed_class_bell(rng) for _ in range(32)])
-    p, y = np.real(np.einsum("nii->ni", mats)), np.imag(mats[:, 1, 2])
+    s = class_lanes(mats)
     for delta in (0.3, math.pi / 30, 2.0):
         u = rotation(delta)
         full = np.einsum("ij,njk,lk->nil", u, mats, u.conj())
-        p_new, y_new = rotate_class(p, y, delta)
-        assert np.max(np.abs(np.real(np.einsum("nii->ni", full)) - p_new)) <= 1e-15
-        assert np.max(np.abs(full[:, 1, 2] - 1j * y_new)) <= 1e-15
+        r = s.copy()
+        rotate_class(r, delta)
+        assert np.max(np.abs(np.real(np.einsum("nii->ni", full)) - r[:4].T)) <= 1e-15
+        assert np.max(np.abs(full[:, 1, 2] - 1j * r[4])) <= 1e-15
 
 
 def test_pulse_class_outcomes_are_normalized_parity_blocks(rng):
-    mats = np.array([random_closed_class_bell(rng) for _ in range(64)])
-    p, y = np.real(np.einsum("nii->ni", mats)), np.imag(mats[:, 1, 2])
+    s = class_lanes(np.array([random_closed_class_bell(rng) for _ in range(64)]))
     for delta in (0.0, 0.3, 2.0):
-        p_rot, _ = rotate_class(p, y, delta)
+        r = s.copy()
+        rotate_class(r, delta)
+        p_rot = r[:4].T
         p_even = p_rot[:, 0] + p_rot[:, 1]
         for u, block, other in ((EVEN, slice(0, 2), slice(2, 4)), (ODD, slice(2, 4), slice(0, 2))):
-            q, y_new, even = pulse(p, y, delta, u)
+            q = s.copy()
+            even = pulse(q, delta, u)
+            q, y_new = q[:4].T, q[4]
             assert np.all(even == (u < p_even))
             assert np.all(y_new == 0.0)
             assert np.all(q[:, other] == 0.0)
@@ -98,9 +111,10 @@ def test_pulse_class_never_picks_a_zero_weight_branch():
     # 0 (u3, u4); both extreme uniforms must pick the branch with weight.
     p = np.eye(4)
     for u in (EVEN, ODD):
-        q, _, even = pulse(p, np.zeros(4), 0.0, u)
+        q = _class_rows(p, np.zeros(4), 4)
+        even = pulse(q, 0.0, u)
         assert even.tolist() == [True, True, False, False]
-        assert np.array_equal(q, p)
+        assert np.array_equal(q[:4].T, p)
 
 
 def test_first_measurement_from_mixed_state(rng):
@@ -108,11 +122,12 @@ def test_first_measurement_from_mixed_state(rng):
     # each outcome with probability 1/2, post-state a half-half diagonal
     # inside one block, concurrence exactly zero.
     n = 4000
-    p, y, even = pulse_class(*mixed(n), math.pi / 30, rng.random(n))
+    s = mixed(n)
+    even = pulse_class(s, math.pi / 30, rng.random(n))
     target = np.where(even[:, None], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5])
-    assert np.max(np.abs(p - target)) <= 1e-14
-    assert np.all(y == 0.0)
-    assert np.all(lane_concurrences(p, y) == 0.0)
+    assert np.max(np.abs(s[:4].T - target)) <= 1e-14
+    assert np.all(s[4] == 0.0)
+    assert np.all(lane_concurrences(s) == 0.0)
     se = math.sqrt(0.25 / n)
     assert abs(even.mean() - 0.5) < 3.0 * se
 
@@ -121,10 +136,11 @@ def test_even_then_rotation_sits_on_the_border():
     # After one even outcome the rotated state has branch values exactly
     # zero: the chain starts from the separable-entangled border.
     delta = 0.4
-    p, y, _ = pulse(*mixed(1), delta, EVEN)
-    p, y = rotate_class(p, y, delta)
-    rotated = lane_matrices(p, y)[0]
-    assert lane_concurrences(p, y)[0] <= 1e-15
+    s = mixed(1)
+    pulse(s, delta, EVEN)
+    rotate_class(s, delta)
+    rotated = lane_matrices(s)[0]
+    assert lane_concurrences(s)[0] <= 1e-15
     c, s = math.cos(delta), math.sin(delta)
     expected = np.diag([0.5, 0.5 * c * c, 0.5 * s * s, 0.0]).astype(complex)
     expected[1, 2] = 0.5j * c * s
@@ -136,24 +152,26 @@ def test_odd_flip_probability_and_state():
     # From the post-even state the odd branch of the next step has weight
     # sin^2(delta)/2 and collapses to the pure u3 state.
     delta = 0.7
-    p, y, _ = pulse(*mixed(1), delta, EVEN)
+    s = mixed(1)
+    pulse(s, delta, EVEN)
     p_even = 1.0 - 0.5 * math.sin(delta) ** 2
-    assert pulse(p, y, delta, p_even - 1e-15)[2][0]
-    assert not pulse(p, y, delta, p_even + 1e-15)[2][0]
-    p, y, even = pulse(p, y, delta, ODD)
+    assert pulse(s.copy(), delta, p_even - 1e-15)[0]
+    assert not pulse(s.copy(), delta, p_even + 1e-15)[0]
+    even = pulse(s, delta, ODD)
     assert not even[0]
-    assert np.allclose(lane_matrices(p, y)[0], np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-13)
-    assert lane_concurrences(p, y)[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(lane_matrices(s)[0], np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-13)
+    assert lane_concurrences(s)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_consecutive_evens_closed_form():
     delta = 0.6
-    p, y, _ = pulse(*mixed(1), delta, EVEN)
-    p, y, even = pulse(p, y, delta, EVEN)
+    s = mixed(1)
+    pulse(s, delta, EVEN)
+    even = pulse(s, delta, EVEN)
     assert even[0]
     c2 = math.cos(delta) ** 2
     expected = (1.0 - c2) / (1.0 + c2)
-    assert lane_concurrences(p, y)[0] == pytest.approx(expected, abs=1e-14)
+    assert lane_concurrences(s)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_average_concurrence_formula_values():
@@ -183,12 +201,12 @@ def _flipping_lanes(rng):
     states. Roughly half the lanes never flip (the stationary u1/u4
     components purify instead)."""
     n, n_steps = 256, 40
-    p, y = mixed(n)
+    s = mixed(n)
     evens, states = [], []
     for _ in range(n_steps):
-        p, y, even = pulse_class(p, y, 0.5, rng.random(n))
+        even = pulse_class(s, 0.5, rng.random(n))
         evens.append(even)
-        states.append((p, y))
+        states.append(s.copy())
     evens = np.array(evens)
     flipped = (evens[1:] != evens[:-1]).any(axis=0)
     assert flipped.sum() >= n // 4
@@ -198,8 +216,8 @@ def _flipping_lanes(rng):
 
 def test_chain_absorbing_after_flip(rng):
     lanes, first, _, states = _flipping_lanes(rng)
-    for k, (p, y) in enumerate(states):
-        conc = lane_concurrences(p[lanes], y[lanes])
+    for k, s in enumerate(states):
+        conc = lane_concurrences(s[:, lanes])
         assert np.all(conc >= 0.0) and np.all(conc <= 1.0 + 1e-12)
         trapped = k >= first[lanes]
         assert np.all(np.abs(conc[trapped] - 1.0) <= 1e-12), k
@@ -207,11 +225,11 @@ def test_chain_absorbing_after_flip(rng):
 
 def test_chain_trapped_lanes_alternate_pure_bell(rng):
     lanes, first, evens, states = _flipping_lanes(rng)
-    for k, (p, y) in enumerate(states):
+    for k, s in enumerate(states):
         trapped = lanes[k >= first[lanes]]
         target = np.where(evens[k, trapped, None], np.eye(4)[1], np.eye(4)[2])
-        assert np.allclose(p[trapped], target, atol=1e-10), k
-        assert np.all(y[trapped] == 0.0)
+        assert np.allclose(s[:4, trapped].T, target, atol=1e-10), k
+        assert np.all(s[4, trapped] == 0.0)
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.1, math.pi / 30])
@@ -224,6 +242,48 @@ def test_monte_carlo_matches_step_average(delta):
         assert abs(means[n - 1] - target) < 3.0 * max(ses[n - 1], 1e-12), (
             f"step {n}: {means[n - 1]} vs {target}"
         )
+
+
+def _reference_chain(delta, n_steps, n_runs, seed):
+    """The lane-major chain monte_carlo_average stepped before it moved to
+    class rows, transcribed operation for operation: (n, 4) populations
+    and y rotated into new arrays, projected by a float mask, branch
+    values of the (n, 4) array."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    c2, s2 = math.cos(2.0 * delta), math.sin(2.0 * delta)
+    p = np.full((n_runs, 4), 0.25)
+    y = np.zeros(n_runs)
+    means, ses = np.empty(n_steps), np.empty(n_steps)
+    for k in range(n_steps):
+        u = rng.random(n_runs)
+        h = 0.5 * (p[:, 1] + p[:, 2])
+        d = 0.5 * (p[:, 1] - p[:, 2])
+        d_new = c2 * d - s2 * y
+        p = p.copy()
+        p[:, 1] = h + d_new
+        p[:, 2] = h - d_new
+        y = c2 * y + s2 * d
+        p_even = p[:, 0] + p[:, 1]
+        even = u < p_even
+        mask = np.where(even[:, None], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0])
+        norm = np.where(even, p_even, 1.0 - p_even)
+        p, y = p * mask / norm[:, None], np.zeros_like(y)
+        l1, l2, l3 = lambda_branch_values(p, y)
+        c = np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0)
+        means[k] = c.mean()
+        ses[k] = c.std(ddof=1) / math.sqrt(n_runs)
+    return means, ses
+
+
+@pytest.mark.parametrize("delta", [0.0, math.pi / 30, 0.5, math.pi / 2])
+def test_monte_carlo_matches_per_step_reference(delta):
+    for n_runs in (2, 3, 257, 2000):
+        for seed in (0, 90):
+            got = monte_carlo_average(delta, 30, n_runs, seed=seed)
+            ref = _reference_chain(delta, 30, n_runs, seed)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b), (n_runs, seed)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (n_runs, seed)
 
 
 def test_monte_carlo_deterministic():

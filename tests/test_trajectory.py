@@ -16,10 +16,11 @@ from hypothesis import example, given, strategies as st
 from scipy.linalg import expm
 
 from conftest import random_closed_class_bell, random_density_bell
+from event_reference import detect_events
 from paritysim import fpt, trajectory
 from paritysim.cli import main
 from paritysim.concurrence import lambda_branch_values
-from paritysim.ensemble import detect_events, run_ensemble
+from paritysim.ensemble import run_ensemble
 from paritysim.qstate import (
     DensityMatrix,
     DivergenceError,

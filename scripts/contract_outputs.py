@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Run a fixed list of paritysim commands and keep every output they make.
+
+Each command runs as `python -m paritysim ...` with this interpreter, in
+the caller's environment, from inside OUT with relative paths, so the
+manifests do not depend on where OUT is. Every command writes its files
+to OUT/<name>/ (when it has --out), and its stdout and exit code to
+OUT/<name>.stdout and OUT/<name>.rc. The script first writes two state
+files into OUT: offclass.json (the mixed state with rho_14 = 0.01 and
+rho_23 = 0.02 + 0.01i) and rho13.json (diag(0.4, 0.3, 0.2, 0.1) with
+rho_13 = 0.2).
+
+To compare two source trees, run it once per tree with PYTHONPATH set to
+that tree's src (an absolute path), then diff the two directories:
+
+    PYTHONPATH=/path/to/a/src python scripts/contract_outputs.py out-a
+    PYTHONPATH=/path/to/b/src python scripts/contract_outputs.py out-b
+    diff -r out-a out-b
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+from paritysim.qstate import make_state, preset_state, state_to_json
+
+TRAJECTORIES = [
+    "--k 0.3 --duration 45.5",
+    "--k 1 --duration 10 --seed 3",
+    "--k 30 --duration 3 --record-stride 7",
+    "--k 1 --duration 5 --state sigma-boundary",
+    "--k 2 --duration 5 --state bell-u4 --seed 9",
+    "--k 0.3 --duration 10 --seed 8",
+    "--k 1 --duration 3 --seed 4 --state offclass.json",
+    "--k 1 --duration 3 --seed 4 --state rho13.json",
+]
+ENSEMBLES = [
+    "--k 0.3 --duration 10 --runs 600 --seed 23",
+    "--k 30 --duration 1 --runs 300 --record-stride 7",
+    "--k 1 --runs 257 --state sigma-boundary",
+    "--k 1 --runs 10 --state rho13.json",
+]
+PROJECTIVES = [
+    "--k 30 --runs 2000",
+    "--k 30 --n-max 50 --runs 20000",
+    "--delta-angle 0 --runs 300",
+]
+
+
+def commands() -> list[tuple[str, list[str], bool]]:
+    """(name, arguments, takes --out) of every command, in run order."""
+    out = []
+    for jobs in (1, 2):
+        for i, flags in enumerate(ENSEMBLES):
+            out.append((f"ensemble{i}-j{jobs}", ["ensemble", *flags.split(), "--jobs", str(jobs)],
+                        True))
+        out.append((f"validate-j{jobs}", ["validate", "--suite", "fast", "--jobs", str(jobs)],
+                    False))
+    out += [(f"trajectory{i}", ["trajectory", *flags.split()], True)
+            for i, flags in enumerate(TRAJECTORIES)]
+    out += [(f"projective{i}", ["projective", *flags.split()], True)
+            for i, flags in enumerate(PROJECTIVES)]
+    out += [("predict-state", ["predict", "--state", "0.1,0.2,0.3,0.4"], False),
+            ("predict-grid", ["predict", "--grid", "6"], False)]
+    return out
+
+
+def write_states(out: pathlib.Path) -> None:
+    off = preset_state("mixed").mat.copy()
+    off[0, 3] = off[3, 0] = 0.01
+    off[1, 2], off[2, 1] = 0.02 + 0.01j, 0.02 - 0.01j
+    rho13 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho13[0, 2] = rho13[2, 0] = 0.2
+    for name, mat in (("offclass.json", off), ("rho13.json", rho13)):
+        (out / name).write_text(state_to_json(make_state(mat)), encoding="ascii")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=pathlib.Path, help="directory for every output (created)")
+    args = ap.parse_args()
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_states(args.out)
+    for name, argv, has_out in commands():
+        if has_out:
+            argv = [*argv, "--out", name]
+        proc = subprocess.run([sys.executable, "-m", "paritysim", *argv], cwd=args.out,
+                              stdout=subprocess.PIPE)
+        (args.out / f"{name}.stdout").write_bytes(proc.stdout)
+        (args.out / f"{name}.rc").write_text(f"{proc.returncode}\n", encoding="ascii")
+        print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concurrence import lambda_branch_values, wootters_concurrence
+from .concurrence import lambda_branch_max, wootters_concurrence
 from .ensemble import (
     coupled_step_bias,
     genesis_histogram,
@@ -252,35 +252,19 @@ def cmd_projective(args) -> int:
     times = steps * (delta_angle / math.pi)  # t_n = n T_M, T_M = delta/pi T_q
     analytic = np.array([average_concurrence(int(n), delta_angle) for n in steps])
 
-    def write_curve(path):
-        cols = np.column_stack([steps, times, analytic])
-        np.savetxt(
-            path,
-            cols,
-            fmt=["%d", "%.17g", "%.17g"],
-            delimiter=",",
-            header="step,time,avg_concurrence",
-            comments="",
-        )
+    def table(header, *cols):
+        """A writer of steps, times and cols as CSV under header."""
+        fmt = ["%d"] + ["%.17g"] * (len(cols) + 1)
+        return lambda path: np.savetxt(path, np.column_stack([steps, times, *cols]),
+                                       fmt=fmt, delimiter=",", header=header, comments="")
 
-    writers = {"curve.csv": write_curve}
+    writers = {"curve.csv": table("step,time,avg_concurrence", analytic)}
     if n_runs is not None:
         if not n_runs >= 1:
             raise UsageError("--runs: must be >= 1")
         means, ses = monte_carlo_average(delta_angle, n_max, n_runs, seed=seed)
-
-        def write_mc(path):
-            cols = np.column_stack([steps, times, analytic, means, ses])
-            np.savetxt(
-                path,
-                cols,
-                fmt=["%d", "%.17g", "%.17g", "%.17g", "%.17g"],
-                delimiter=",",
-                header="step,time,analytic,mc_mean,mc_se",
-                comments="",
-            )
-
-        writers["mc_comparison.csv"] = write_mc
+        writers["mc_comparison.csv"] = table(
+            "step,time,analytic,mc_mean,mc_se", analytic, means, ses)
     manifest = {
         "command": "projective",
         "config": {
@@ -330,8 +314,7 @@ def _check_concurrence_oracle(n: int):
     rng = np.random.default_rng(20260814)
     pops = rng.dirichlet(np.ones(4), size=n)
     y = (2.0 * rng.random(n) - 1.0) * np.sqrt(pops[:, 1] * pops[:, 2])
-    l1, l2, l3 = lambda_branch_values(pops, y)
-    branch = np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0)
+    branch = np.maximum(lambda_branch_max(pops, y), 0.0)
     err = 0.0
     for k in range(n):
         mat = np.diag(pops[k]).astype(complex)

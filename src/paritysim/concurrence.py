@@ -27,6 +27,8 @@ __all__ = [
     "lambda_branches",
     "diagonal_lambda",
     "lambda_branch_values",
+    "lambda_branch_max",
+    "class_residual",
 ]
 
 # sigma_y (x) sigma_y in the computational basis |00>,|01>,|10>,|11>.
@@ -42,7 +44,19 @@ SY_SY = np.array(
 
 X_TOL = 1e-9
 CLASS_TOL = 1e-12
-EIG_TOL = 1e-12
+
+# the X pattern: the diagonal and the anti-diagonal (rho_14, rho_23 and conjugates)
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+# the 10 entries the closed class holds at zero: every off-diagonal one but rho_23, rho_32
+_OFF_ROWS, _OFF_COLS = [0, 0, 0, 1, 1, 2, 2, 3, 3, 3], [1, 2, 3, 0, 3, 0, 3, 0, 1, 2]
+
+
+def class_residual(mats: np.ndarray) -> np.ndarray:
+    """Distance of (..., 4, 4) Bell-basis matrices from the closed class:
+    the largest modulus among its zero entries and Re rho_23. Exactly 0 on
+    the class and nan where an entry is nan, so test `not res <= tol`."""
+    off = np.abs(mats[..., _OFF_ROWS, _OFF_COLS]).max(axis=-1)
+    return np.maximum(off, np.abs(mats[..., 1, 2].real))
 
 
 def _sqrt_eigenvalues_general(rho: DensityMatrix) -> np.ndarray:
@@ -102,10 +116,7 @@ def xstate_sqrt_eigenvalues(rho: DensityMatrix) -> SqrtEigenvalues:
     off-pattern magnitude.
     """
     m = rho.mat
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[np.arange(4), np.arange(4)] = True
-    mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = True
-    off = np.max(np.abs(np.where(mask, 0.0, m)))
+    off = np.max(np.abs(np.where(_X_PATTERN, 0.0, m)))
     if off > X_TOL:
         raise ValueError(f"not an X-state: largest off-pattern entry {off:.3e}")
     r11, r22, r33, r44 = m.diagonal().real
@@ -154,18 +165,26 @@ def lambda_branch_values(
     return lam1, lam2, lam3
 
 
+def lambda_branch_max(populations: np.ndarray, rho23_im: np.ndarray) -> np.ndarray:
+    """The branch maximum, the Wootters Lambda on the closed class;
+    arguments as for lambda_branch_values."""
+    lam1, lam2, lam3 = lambda_branch_values(populations, rho23_im)
+    return np.maximum(np.maximum(lam1, lam2), lam3)
+
+
 def lambda_branches(rho: DensityMatrix) -> LambdaBranches:
     """Branch decomposition of Lambda for the measurement-closed class.
 
-    Requires rho_14 = 0 and Re rho_23 = 0 within CLASS_TOL: that is the
-    class the parity-measurement dynamics preserves, on which the branch
-    maximum equals the Wootters Lambda.
+    Requires class_residual(rho.mat) <= CLASS_TOL: rho_14, Re rho_23 and
+    every coherence but rho_23 vanish. That is the class the
+    parity-measurement dynamics preserves, on which the branch maximum
+    equals the Wootters Lambda; off it only wootters_lambda applies.
     """
     m = rho.mat
-    if abs(m[0, 3]) > CLASS_TOL:
-        raise ValueError(f"|rho_14| = {abs(m[0, 3]):.3e} outside the closed class")
-    if abs(m[1, 2].real) > CLASS_TOL:
-        raise ValueError(f"|Re rho_23| = {abs(m[1, 2].real):.3e} outside the closed class")
+    res = class_residual(m)
+    if not res <= CLASS_TOL:
+        raise ValueError(f"|rho_14|, |Re rho_23| or another coherence reaches {res:.3e}: "
+                         "outside the closed class")
     p = m.diagonal().real
     lam1, lam2, lam3 = lambda_branch_values(p, np.array(m[1, 2].imag))
     vals = (float(lam1), float(lam2), float(lam3))

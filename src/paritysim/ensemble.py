@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import lambda_branch_values
+from .concurrence import X_TOL, class_residual, lambda_branch_max
 from .fpt import (
     CrossingPrediction,
     block_draws,
@@ -53,8 +53,6 @@ __all__ = [
     "first_crossing_times",
     "validate_against_analytics",
 ]
-
-_X_TOL = 1e-9
 
 
 class EventKind(enum.Enum):
@@ -222,8 +220,7 @@ def _ensemble_chunk(args) -> dict:
         for k0, blk, _, health in _step_blocks(cfg, lo, hi, rows, advance):
             # row i of the block is step k0 + i
             k1 = k0 + len(blk) - 1
-            l1, l2, l3 = lambda_branch_values(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
-            lam = np.maximum(np.maximum(l1, l2), l3)
+            lam = lambda_branch_max(blk[:, :4].transpose(0, 2, 1), blk[:, 4])
             if k0 == 0 and rise_threshold is not None:
                 rise[lam[0] > rise_threshold] = 0.0
             stop = int(np.searchsorted(rec_at, k1, side="right"))
@@ -288,6 +285,15 @@ def _map_chunks(fn, chunks, jobs: int) -> list:
     return [fn(c) for c in chunks]
 
 
+def _class_start(initial: DensityMatrix) -> tuple[np.ndarray, float]:
+    """Populations and Im rho_23 of a start state within X_TOL of the
+    closed class; ValueError for any other state."""
+    if not class_residual(initial.mat) <= X_TOL:
+        raise ValueError("ensemble statistics require the closed X class "
+                         "(rho_14 = 0, rho_23 imaginary, no other coherence)")
+    return initial.diag, float(np.imag(initial.mat[1, 2]))
+
+
 def run_ensemble(
     cfg: SimConfig,
     initial: DensityMatrix,
@@ -300,20 +306,15 @@ def run_ensemble(
 
     Entanglement along runs is evaluated with the X-class branch values,
     so the initial state must be in the closed class (rho_14 = 0, rho_23
-    imaginary); the dynamics never leaves it, and runs are integrated on
-    the class kernel (populations and Im rho_23). rise_threshold, if given,
+    imaginary, every other coherence zero: class_residual within X_TOL, as
+    in simulate) or ValueError is raised. The dynamics never leaves it, and
+    runs are integrated on the class kernel from the populations and
+    Im rho_23. rise_threshold, if given,
     also records the first time each run's branch maximum exceeds it.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    mat = initial.mat
-    if abs(mat[0, 3]) > _X_TOL or abs(np.real(mat[1, 2])) > _X_TOL:
-        raise ValueError(
-            "ensemble statistics require the closed X class "
-            "(rho_14 = 0, rho_23 imaginary)"
-        )
-    p0 = initial.diag
-    y0 = float(np.imag(mat[1, 2]))
+    p0, y0 = _class_start(initial)
     chunks = [
         (cfg, p0, y0, lo, min(lo + _CHUNK, n_runs), rise_threshold)
         for lo in range(0, n_runs, _CHUNK)
@@ -372,12 +373,13 @@ def coupled_step_bias(
     error of that mean; a step whose error at dt is below the Monte Carlo
     error reads within a few standard errors of 0. Runs come in _CHUNK-run
     chunks, and chunk c reads z from SeedSequence(seed, spawn_key=(c,)),
-    the stream its ensemble chunk steps on at dt / 2.
+    the stream its ensemble chunk steps on at dt / 2. initial must be on
+    the closed class, as for run_ensemble.
     """
     fine = dataclasses.replace(cfg, dt=cfg.dt / 2.0)
     if fine.n_steps != 2 * cfg.n_steps:
         raise ValueError("duration must be a whole number of steps dt")
-    p0, y0 = initial.diag, float(np.imag(initial.mat[1, 2]))
+    p0, y0 = _class_start(initial)
     diff = np.empty(n_runs)
     for lo in range(0, n_runs, _CHUNK):
         hi = min(lo + _CHUNK, n_runs)
@@ -392,8 +394,7 @@ def coupled_step_bias(
             rows, advance = _class_rows(p0, y0, hi - lo), _class_stepper(c, clip_floor(c))
             for _, blk, _, _ in _step_blocks(c, lo, hi, rows, advance, draw):
                 pass
-            l1, l2, l3 = lambda_branch_values(blk[-1, :4].T, blk[-1, 4])
-            ends.append(np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0))
+            ends.append(np.maximum(lambda_branch_max(blk[-1, :4].T, blk[-1, 4]), 0.0))
         diff[lo:hi] = ends[0] - ends[1]
     return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(n_runs))
 

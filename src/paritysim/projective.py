@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .concurrence import lambda_branch_values
+from .concurrence import lambda_branch_max
 
 __all__ = [
     "rotation",
@@ -121,8 +121,7 @@ def monte_carlo_average(
     for k in range(n_steps):
         rng.random(out=u)
         pulse_class(s, delta_angle, u)
-        l1, l2, l3 = lambda_branch_values(s[:4].T, s[4])
-        c = np.maximum(np.maximum(np.maximum(l1, l2), l3), 0.0)
+        c = np.maximum(lambda_branch_max(s[:4].T, s[4]), 0.0)
         means[k] = c.mean()
         ses[k] = c.std(ddof=1) / math.sqrt(n_runs)
     return means, ses

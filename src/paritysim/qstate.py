@@ -104,6 +104,9 @@ def _validate(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (4, 4):
         raise StateValidationError(f"expected a 4x4 matrix, got shape {mat.shape}")
+    # the invariant tests below compare with >, which nan passes
+    if not np.isfinite(mat).all():
+        raise StateValidationError("entries must be finite (no nan or inf)")
     herm_gap = np.max(np.abs(mat - mat.conj().T))
     if herm_gap > HERM_TOL:
         raise StateValidationError(f"not Hermitian: max |rho - rho^dagger| = {herm_gap:.3e}")
@@ -120,9 +123,9 @@ def _validate(mat: np.ndarray) -> np.ndarray:
 def make_state(entries: np.ndarray, basis: Basis = Basis.BELL) -> DensityMatrix:
     """Validate a 4x4 matrix and store it in the Bell basis.
 
-    Rejects non-Hermitian, non-unit-trace, or non-PSD inputs with a
-    diagnostic naming the violated invariant. Computational-basis input is
-    rotated with the Bell change-of-basis unitary.
+    Rejects non-finite, non-Hermitian, non-unit-trace, or non-PSD inputs
+    with a diagnostic naming the violated invariant. Computational-basis
+    input is rotated with the Bell change-of-basis unitary.
     """
     mat = _validate(np.asarray(entries))
     if basis is Basis.COMPUTATIONAL:

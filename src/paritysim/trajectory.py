@@ -20,11 +20,12 @@ the Hamiltonian term is Hermitian, so the update preserves Hermiticity and
 trace exactly in exact arithmetic; the integrator renormalizes the trace
 each step and logs the (rounding-level) corrections.
 
-States on the closed class (rho_14 = 0, rho_23 purely imaginary) are
-integrated as five real numbers per lane, with positivity tested and
-projected in closed form on the exact spectrum; the (n, 4, 4) kernel
-step_batch, with the eigh projection clip_negative_eigenvalues, serves
-states off the class.
+States on the closed class (rho_14 = 0, rho_23 purely imaginary, every
+other coherence zero; concurrence.class_residual within X_TOL, so a
+near-class start keeps only its populations and Im rho_23) are integrated
+as five real numbers per lane, with positivity tested and projected in
+closed form on the exact spectrum; the (n, 4, 4) kernel step_batch, with
+the eigh projection clip_negative_eigenvalues, serves states off the class.
 
 The class step is written once, as _class_step on the five values p1,
 p2, p3, p4, y and the scaled draw. It uses only +, - and *, so the same
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concurrence import lambda_branch_values, wootters_concurrence
+from .concurrence import X_TOL, class_residual, lambda_branch_max, wootters_concurrence
 from .qstate import PARITY_CURRENTS, DensityMatrix, DivergenceError, sanitize
 
 __all__ = [
@@ -74,14 +75,12 @@ _I = PARITY_CURRENTS.astype(float)
 _AIJ = _I[:, None] + _I[None, :]            # I_i + I_j
 _DEC8 = (_I[:, None] - _I[None, :]) ** 2 / 8.0
 
-# off-class recorded states fall back to the general concurrence; this is a
-# runtime-drift allowance, looser than the analytic CLASS_TOL
+# recorded states whose class_residual exceeds this get lambda = nan and the
+# general concurrence; a runtime-drift allowance, looser than the start's X_TOL
 _RECORD_CLASS_TOL = 1e-7
 _EVENT_BLOCK = 128  # steps per block of _step_blocks
 _CHUNK = 256        # runs per noise stream; --jobs maps chunks to processes
 _CSV_BLOCK = 512
-_CLASS_PATTERN = np.eye(4, dtype=bool)
-_CLASS_PATTERN[1, 2] = _CLASS_PATTERN[2, 1] = True
 
 
 @dataclass(frozen=True)
@@ -427,18 +426,13 @@ def _lane_stepper(cfg: SimConfig, floor: float):
     return advance
 
 
-def _in_closed_class(mat: np.ndarray) -> bool:
-    """Whether a Bell-basis matrix lies exactly on the closed class."""
-    return not np.any(mat[~_CLASS_PATTERN]) and mat[1, 2].real == 0.0
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """One realization sampled on the record grid.
 
-    states is a (n, 4, 4) Bell-basis array; lam is the branch maximum (nan
-    where the state drifted off the closed X class), concurrence
-    max(lam, 0) or the general Wootters value off class.
+    states is a (n, 4, 4) Bell-basis array; lam is the branch maximum, nan
+    on rows whose class_residual exceeds 1e-7, concurrence max(lam, 0) or
+    the general Wootters value on those rows.
     integrated_output[0] is reported as 0 (the t -> 0 limit of the running
     mean is left undefined by 0/0). trace_correction_total
     accumulates |Tr rho - 1| before each renormalization (rounding floor;
@@ -498,14 +492,10 @@ class TrajectoryRecord:
 
 def _record_entanglement(states: np.ndarray):
     """Branch maximum and concurrence for recorded states, closed-form on the
-    X class, general Wootters off it."""
+    class, lambda = nan and the general Wootters concurrence off it."""
     pops = np.real(np.einsum("nii->ni", states))
-    y23 = np.imag(states[:, 1, 2])
-    off = (np.abs(states[:, 0, 3]) > _RECORD_CLASS_TOL) | (
-        np.abs(np.real(states[:, 1, 2])) > _RECORD_CLASS_TOL
-    )
-    lam1, lam2, lam3 = lambda_branch_values(pops, y23)
-    lam = np.maximum(np.maximum(lam1, lam2), lam3)
+    off = ~(class_residual(states) <= _RECORD_CLASS_TOL)
+    lam = lambda_branch_max(pops, np.imag(states[:, 1, 2]))
     conc = np.maximum(lam, 0.0)
     if off.any():
         lam[off] = np.nan
@@ -583,10 +573,10 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     record_stride steps (the final step is always recorded; its sample is
     the draw after the last step).
 
-    An initial state exactly on the closed class runs _class_step on five
-    Python floats per step (_lane_stepper), the source the ensembles run on
-    rows, so it is bitwise the batch stepper at n = 1 with the same noise
-    (tested against a batch of one). Any other state runs on the
+    An initial state within X_TOL of the closed class (class_residual, as
+    in run_ensemble) runs _class_step on the five Python floats of its
+    populations and Im rho_23 (_lane_stepper), the rows ensembles step, so
+    it is bitwise an ensemble of one (tested). Any other state runs on the
     (n, 4, 4) kernel. Both go through _step_blocks; per block, the
     currents and the running integral come from the block's states and
     draws with array operations, the integral summed in step order by
@@ -594,7 +584,7 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     """
     dt = cfg.dt
     floor = clip_floor(cfg)
-    on_class = _in_closed_class(initial.mat)
+    on_class = class_residual(initial.mat) <= X_TOL
     if on_class:
         state = (*initial.diag.tolist(), float(initial.mat[1, 2].imag))
         advance = _lane_stepper(cfg, floor)

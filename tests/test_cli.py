@@ -55,6 +55,15 @@ def test_usage_errors_name_the_flag(tmp_path, capsys):
     rc = main(["trajectory", "--state", "no-such-preset", "--out", str(tmp_path / "z")])
     assert rc == 2
     assert "--state" in capsys.readouterr().err
+    # Python's json writes and reads NaN; a state carrying one is a usage error
+    nan_file = tmp_path / "nan.json"
+    re = (np.eye(4) / 4).tolist()
+    re[0][0] = math.nan
+    nan_file.write_text(json.dumps({"basis": "bell", "re": re, "im": np.zeros((4, 4)).tolist()}))
+    for command in ("trajectory", "ensemble"):
+        rc = main([command, "--state", str(nan_file), "--out", str(tmp_path / command)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -295,13 +304,21 @@ def test_state_from_json_file(tmp_path):
 def test_trajectory_state_json_off_and_on_the_class(tmp_path):
     """An off-class JSON state runs on the 4x4 path (lambda undefined, the
     general concurrence finite); a class state runs on the class kernel and
-    its off-class columns are exactly zero."""
-    from paritysim.qstate import make_state, preset_state, state_to_json
+    its off-class columns are exactly zero. A state whose only coherence is
+    rho_13 is off the class too: lambda is nan on every row whose class
+    residual exceeds 1e-7 and the concurrence is the Wootters value, and
+    ensemble refuses it."""
+    from paritysim.concurrence import class_residual, wootters_concurrence
+    from paritysim.qstate import make_state, preset_state, sanitize, state_to_json
+    from paritysim.trajectory import SimConfig, simulate
 
     mat = np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex)
     mat[0, 3] = mat[3, 0] = 0.2
+    rho13 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho13[0, 2] = rho13[2, 0] = 0.2
     cols = {}
-    for name, state in (("off", make_state(mat)), ("on", preset_state("sigma-boundary"))):
+    for name, state in (("off", make_state(mat)), ("on", preset_state("sigma-boundary")),
+                        ("rho13", make_state(rho13))):
         state_file = tmp_path / f"{name}.json"
         state_file.write_text(state_to_json(state))
         out = tmp_path / name
@@ -318,6 +335,19 @@ def test_trajectory_state_json_off_and_on_the_class(tmp_path):
     for name in ("re_rho_14", "im_rho_14", "re_rho_23"):
         assert np.all(on[name] == 0.0)
     assert np.all(np.isfinite(on["lambda"]))
+
+    # the CLI's record, recomputed in-process for the states it holds
+    states = simulate(SimConfig(duration=0.05), make_state(rho13)).states
+    off_rows = class_residual(states) > 1e-7
+    got = cols["rho13"]
+    assert off_rows[0]
+    assert np.array_equal(np.isnan(got["lambda"]), off_rows)
+    wootters = [wootters_concurrence(sanitize(s).state) for s in states[off_rows]]
+    assert np.array_equal(got["concurrence"][off_rows], wootters)
+    assert got["concurrence"][0] == pytest.approx(0.0472, abs=1e-4)
+    rc = main(["ensemble", "--duration", "0.05", "--runs", "2",
+               "--state", str(tmp_path / "rho13.json"), "--out", str(tmp_path / "ens")])
+    assert rc == 2
 
 
 def test_module_entry_point():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from paritysim.concurrence import (
     SY_SY,
+    class_residual,
     diagonal_lambda,
     lambda_branches,
     wootters_concurrence,
@@ -101,6 +103,32 @@ def test_branches_reject_out_of_class():
     mat[2, 1] = 0.05
     with pytest.raises(ValueError, match="Re rho_23"):
         lambda_branches(make_state(mat))
+    # rho_14 = Re rho_23 = 0, but another coherence is not
+    for slot, value in (((0, 2), 0.2), ((0, 1), 0.2j)):
+        mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        mat[slot], mat[slot[::-1]] = value, np.conj(value)
+        with pytest.raises(ValueError, match="closed class"):
+            lambda_branches(make_state(mat))
+
+
+@given(seed=st.integers(0, 2**32 - 1), labels=st.lists(st.integers(0, 3), min_size=4, max_size=4))
+@example(seed=0, labels=[0, 1, 0, 1])   # rho_13 and rho_24 only
+@example(seed=0, labels=[0, 0, 1, 2])   # rho_12 only
+@example(seed=0, labels=[0, 1, 2, 3])   # diagonal, on the class
+def test_class_residual_decides_branch_validity(seed, labels):
+    """class_residual is 0 on the closed class; on a random state, pinched to
+    the blocks of equal label (a mask that keeps it a state), lambda_branches
+    either refuses it or agrees with the Wootters Lambda."""
+    rng = np.random.default_rng(seed)
+    assert class_residual(random_closed_class_bell(rng)) == 0.0
+    label = np.array(labels)
+    rho = make_state(random_density_bell(rng) * (label[:, None] == label[None, :]))
+    try:
+        br = lambda_branches(rho)
+    except ValueError:
+        assert class_residual(rho.mat) > 1e-12
+        return
+    assert abs(br.selected - wootters_lambda(rho)) < 1e-10
 
 
 def test_diagonal_lambda_worked_values():

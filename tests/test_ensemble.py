@@ -23,7 +23,14 @@ from paritysim.ensemble import (
     coupled_step_bias,
 )
 from paritysim.fpt import _BLOCK, DIFFUSION, ESCAPE, drift_offset, walk_dts
-from paritysim.qstate import DivergenceError, preset_state, sanitize
+from paritysim.qstate import (
+    Basis,
+    DivergenceError,
+    preset_state,
+    sanitize,
+    state_from_json,
+    state_to_json,
+)
 from paritysim.trajectory import (
     _CHUNK,
     _EVENT_BLOCK,
@@ -122,14 +129,19 @@ def test_stationary_initial_state_is_trivial():
 
 
 def test_ensemble_of_one_equals_single_trajectory():
+    """Also from presets written in the computational basis, whose class
+    residual is rounding (about 2e-17): both commands run the class kernel."""
     cfg = SimConfig(k_ratio=1.0, duration=1.0, seed=77)
-    rec = simulate(cfg, MIXED)
-    stats = run_ensemble(cfg, MIXED, 1)
-    assert np.array_equal(stats.times, rec.times)
-    assert np.array_equal(stats.avg_lambda, rec.lam)
-    assert np.array_equal(stats.avg_concurrence, rec.concurrence)
-    assert np.all(stats.se_lambda == 0.0)
-    assert list(stats.events[0]) == detect_events(rec)
+    round_trips = [state_from_json(state_to_json(preset_state(name), Basis.COMPUTATIONAL))
+                   for name in ("mixed", "sigma-boundary")]
+    for initial in (MIXED, *round_trips):
+        rec = simulate(cfg, initial)
+        stats = run_ensemble(cfg, initial, 1)
+        assert np.array_equal(stats.times, rec.times)
+        assert np.array_equal(stats.avg_lambda, rec.lam)
+        assert np.array_equal(stats.avg_concurrence, rec.concurrence)
+        assert np.all(stats.se_lambda == 0.0)
+        assert list(stats.events[0]) == detect_events(rec)
 
 
 def test_ensemble_deterministic_and_jobs_invariant():
@@ -376,6 +388,14 @@ def test_run_ensemble_rejects_off_class_initial():
     m[0, 3] = m[3, 0] = 0.1
     with pytest.raises(ValueError, match="X class"):
         run_ensemble(SimConfig(duration=0.2), sanitize(m).state, 2)
+    # rho_14 = Re rho_23 = 0, but another coherence is not
+    for slot, value in (((0, 2), 0.2), ((0, 1), 0.2j)):
+        m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        m[slot], m[slot[::-1]] = value, np.conj(value)
+        with pytest.raises(ValueError, match="X class"):
+            run_ensemble(SimConfig(duration=0.2), sanitize(m).state, 2)
+        with pytest.raises(ValueError, match="X class"):
+            coupled_step_bias(SimConfig(duration=0.2), sanitize(m).state, 2)
 
 
 def test_rise_times_recorded():

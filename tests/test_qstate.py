@@ -100,6 +100,12 @@ def test_make_state_rejections():
         make_state(bad_psd)
     with pytest.raises(StateValidationError, match="4x4"):
         make_state(np.eye(3) / 3)
+    # every invariant test compares with >, which a nan population would pass
+    for slot, bad in (((0, 0), np.nan), ((0, 1), np.nan), ((0, 1), np.inf)):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[slot] = mat[slot[::-1]] = bad
+        with pytest.raises(StateValidationError, match="finite"):
+            make_state(mat)
 
 
 def test_presets():

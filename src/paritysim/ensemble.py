@@ -437,7 +437,9 @@ def _crossing_chunk(args) -> dict:
     and the record log-likelihood advances by the Euler rule
     (tanh(gamma + c) + noise) dt on one real per run. fpt.walk_first_passage
     steps the runs in blocks over the fine-then-coarse steps of
-    fpt.walk_dts and resolves each crossing with fpt.bridge_step.
+    fpt.walk_dts, five in-place ufunc calls per step, and resolves each
+    crossing with fpt.bridge_step, which evaluates the bridge exponential
+    only where it is nonzero.
 
     The chunk draws from one generator,
     SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)): each block takes

@@ -57,6 +57,7 @@ _FIRST_BLOCK = 16     # walk steps between the first crossing decisions,
 _BLOCK = 128          # doubling up to this many
 _WALK_CHUNK = 16384   # oracle walkers per stream
 _WALK_TAIL = 24.0     # oracle window beyond the bulk, tau units
+_EXP_CUTOFF = 746.0   # exp(-x) is exactly 0 for every x beyond this
 
 _CURRENT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
@@ -383,17 +384,29 @@ def bridge_step(g0, g1, thr: float, side: float, dt, u):
     crossing. Elementwise over broadcastable arrays, so the same rule
     serves one step of many walks or many steps of many walks.
 
+    The exponential is evaluated only where it can be nonzero: once
+    a b >= 746 D dt it underflows to exactly 0 (below exp(-745.14)), and
+    no uniform in [0, 1) is below 0. The decisions are those of the full
+    expression, bit for bit.
+
     Returns (crossed, retire): the crossed mask and the mask of walks that
     leave (crossed or escaped). hit_fraction places a crossing in its step.
     """
     d0 = g0 - thr
     d1 = g1 - thr
-    b = side * d1
-    # a b = d0 d1 exactly; -d0 d1 > 0 only on a step that straddles thr,
-    # which is direct anyway
-    crossed = (b >= 0.0) | (u < np.exp(-(d0 * d1) / (DIFFUSION * dt)))
-    retire = crossed | (b < -ESCAPE)
-    return crossed, retire
+    if side > 0:
+        crossed, escaped = d1 >= 0.0, d1 < -ESCAPE
+    else:
+        crossed, escaped = d1 <= 0.0, d1 > ESCAPE
+    # a b = (side d0)(side d1) = d0 d1 exactly; -d0 d1 > 0 only on a step
+    # that straddles thr, which is direct anyway
+    ab = d0 * d1
+    near = ab < _EXP_CUTOFF * DIFFUSION * dt
+    ab, dt, u, near = np.broadcast_arrays(ab, dt, u, near)
+    bridged = np.zeros(ab.shape, dtype=bool)
+    bridged[near] = u[near] < np.exp(-ab[near] / (DIFFUSION * dt[near]))
+    crossed = crossed | bridged
+    return crossed, crossed | escaped
 
 
 def hit_fraction(g0, g1, thr: float, side: float):
@@ -449,10 +462,12 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
 
     c = +-inf gives the constant drift +-1 exactly, since numpy's
     tanh(+-inf) is +-1. Open walks are stepped a block of steps at a time
-    with g recorded at every step; bridge_step then decides the whole block
-    at once. Each walk's first retiring step fixes its time, and
-    hit_fraction is evaluated on those steps alone; steps taken after it
-    within the block are discarded, and the open walks are compacted.
+    with g recorded at every step: each step is five in-place ufunc calls
+    that write g[i + 1] = g[i] + (tanh(g[i] + c) + xi) * dt. bridge_step
+    then decides the whole block at once. Each walk's first retiring step
+    fixes its time, and hit_fraction is evaluated on those steps alone;
+    steps taken after it within the block are discarded, and the open
+    walks are compacted.
 
     draw(k0, k1, alive) supplies the standard normals xi and the bridge
     uniforms of steps [k0, k1) for the open walks, as two
@@ -465,7 +480,6 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
     """
     side = math.copysign(1.0, thr)
     n_steps = dts.size
-    dt_list = dts.tolist()
     noise_scale = np.sqrt(1.0 / dts)
     t_before = np.concatenate([[0.0], np.cumsum(dts)])   # t += dt, in order
     gam = np.zeros(c.size)
@@ -480,13 +494,15 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
         xi *= noise_scale[k0:k1, None]
         g = np.empty((k1 - k0 + 1, alive.size))
         g[0] = gam
-        inc = np.empty(alive.size)
-        for i in range(k1 - k0):
-            np.add(g[i], c, out=inc)
-            np.tanh(inc, out=inc)
-            inc += xi[i]
-            inc *= dt_list[k0 + i]
-            np.add(g[i], inc, out=g[i + 1])
+        # a stride-0 row of dt per step: a Python-float operand would cost
+        # numpy more per call than the arithmetic on a few hundred lanes
+        dt_rows = np.broadcast_to(dts[k0:k1, None], xi.shape)
+        for g_i, g_next, xi_i, dt_i in zip(g[:-1], g[1:], xi, dt_rows):
+            np.add(g_i, c, out=g_next)
+            np.tanh(g_next, out=g_next)
+            np.add(g_next, xi_i, out=g_next)
+            np.multiply(g_next, dt_i, out=g_next)
+            np.add(g_i, g_next, out=g_next)
         crossed, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
         done = retire.any(axis=0)
         lanes = np.nonzero(done)[0]

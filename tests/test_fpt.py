@@ -7,6 +7,7 @@ scipy.stats.invgauss and quadrature, and the survival Green function
 against its own boundary flux.
 """
 
+import itertools
 import json
 import math
 
@@ -498,6 +499,156 @@ def test_walk_first_passage_at_infinite_offset_is_constant_drift(monkeypatch):
     assert n_open == sum(f == "open" for f, _ in fates)
     hit = ~np.isnan(ref)
     assert np.max(np.abs(got[hit] - ref[hit])) <= 1e-12
+
+
+CROSSING_STATES = [
+    (0.25, 0.25, 0.49, 0.01),
+    (0.02, 0.02, 0.49, 0.47),
+    (0.26, 0.26, 0.22, 0.26),
+    (0.01, 0.01, 0.00, 0.98),
+    (0.24, 0.24, 0.01, 0.51),
+    (0.49, 0.01, 0.25, 0.25),     # mirrored class: threshold r1 > 0
+    (0.20, 0.20, 0.05, 0.55),
+    (0.05, 0.05, 0.00, 0.90),
+    (0.15, 0.15, 0.10, 0.60),
+    (0.10, 0.10, 0.28, 0.52),
+    (0.35, 0.35, 0.05, 0.25),
+]
+
+
+def _reference_bridge_step(g0, g1, thr, side, dt, u):
+    """The bridge rule with exp(-a b / (D dt)) evaluated on every step."""
+    d0 = g0 - thr
+    d1 = g1 - thr
+    b = side * d1
+    crossed = (b >= 0.0) | (u < np.exp(-(d0 * d1) / (fpt.DIFFUSION * dt)))
+    return crossed, crossed | (b < -fpt.ESCAPE)
+
+
+def _reference_walk(c, thr, dts, draw):
+    """walk_first_passage stepped through a scratch increment row, with
+    in-place += xi and *= each step's dt as a Python float, and decided by
+    _reference_bridge_step."""
+    side = math.copysign(1.0, thr)
+    dt_list = dts.tolist()
+    noise_scale = np.sqrt(1.0 / dts)
+    t_before = np.concatenate([[0.0], np.cumsum(dts)])
+    gam = np.zeros(c.size)
+    alive = np.arange(c.size)
+    times = np.full(c.size, np.nan)
+    k0 = 0
+    while k0 < dts.size and alive.size:
+        k1 = min(k0 + min(max(k0, fpt._FIRST_BLOCK), fpt._BLOCK), dts.size)
+        xi, unif = draw(k0, k1, alive)
+        xi *= noise_scale[k0:k1, None]
+        g = np.empty((k1 - k0 + 1, alive.size))
+        g[0] = gam
+        inc = np.empty(alive.size)
+        for i in range(k1 - k0):
+            np.add(g[i], c, out=inc)
+            np.tanh(inc, out=inc)
+            inc += xi[i]
+            inc *= dt_list[k0 + i]
+            np.add(g[i], inc, out=g[i + 1])
+        crossed, retire = _reference_bridge_step(
+            g[:-1], g[1:], thr, side, dts[k0:k1, None], unif
+        )
+        done = retire.any(axis=0)
+        lanes = np.nonzero(done)[0]
+        first = retire[:, lanes].argmax(axis=0)
+        hit = crossed[first, lanes]
+        lanes, first = lanes[hit], first[hit]
+        k = k0 + first
+        frac = fpt.hit_fraction(g[first, lanes], g[first + 1, lanes], thr, side)
+        times[alive[lanes]] = t_before[k] + dts[k] * frac
+        keep = ~done
+        alive, gam, c = alive[keep], g[-1, keep], c[keep]
+        k0 = k1
+    return times, int(alive.size)
+
+
+@pytest.mark.parametrize("n_walks", [256, 37])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_walk_first_passage_matches_scratch_row_reference(seed, n_walks):
+    """The crossing kernel's walks (finite offset c, fine then coarse
+    steps over a 12 T_M window) equal _reference_walk bit for bit, on the
+    11 crossing-statistics states at two fine steps, for full and partial
+    256-walk chunks; some of them step through the coarse phase."""
+    tau_max = 12.0
+    signs, coarse_steps = set(), 0
+    for state, dt1 in itertools.product(CROSSING_STATES, (2e-3, 1e-2)):
+        st = fpt.diagonal_state(state)
+        pred = fpt.predict(st)
+        thr = pred.r2 if math.isfinite(pred.r2) else pred.r1
+        c = np.full(n_walks, fpt.drift_offset(st.p_even, st.p_odd))
+        dts = fpt.walk_dts(thr, dt1, tau_max)
+        n_fine = int(np.sum(dts == dt1))
+        blocks = []
+
+        def stream():
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+            draw = fpt.block_draws(np.random.default_rng(seq))
+
+            def logged(k0, k1, alive):
+                blocks.append((k1, alive.size))
+                return draw(k0, k1, alive)
+
+            return logged
+
+        got, n_open = fpt.walk_first_passage(c, thr, dts, stream())
+        ref, ref_open = _reference_walk(c, thr, dts, stream())
+        assert np.array_equal(got, ref, equal_nan=True), state
+        assert n_open == ref_open, state
+        signs.add(math.copysign(1.0, thr))
+        coarse_steps += sum(size * max(0, k1 - n_fine) for k1, size in blocks)
+    assert signs == {-1.0, 1.0}
+    assert coarse_steps > 0
+
+
+def test_bridge_step_at_the_exp_cutoff():
+    """bridge_step against the full expression where exp(-a b / (D dt))
+    runs from 1 through the subnormal band to exactly 0 (exponent 0 to
+    -800, densely around -708.4 and -745.13): both sides, scalar and
+    per-row dt, 0-d inputs, and uniforms down to 0 and 5e-324. A subnormal
+    probability still crosses at u = 0; an exact 0 never does."""
+    edge = 745.1332191019411
+    x = np.concatenate([
+        np.linspace(0.0, 800.0, 1601),
+        np.linspace(706.0, 711.0, 501),
+        edge + np.arange(-400, 401) * np.spacing(edge),
+        746.0 + np.arange(-20, 21) * np.spacing(746.0),
+    ])
+    thr = 0.3
+    seen_subnormal = seen_zero = False
+    for side in (1.0, -1.0):
+        for dt in (1e-3, np.array([[1e-3], [0.02], [0.5]])):
+            g1 = thr - side * x * fpt.DIFFUSION * dt
+            g0 = np.full(g1.shape, thr - side)
+            prob = np.exp(-((g0 - thr) * (g1 - thr)) / (fpt.DIFFUSION * dt))
+            direct = side * (g1 - thr) >= 0.0
+            subnormal = (prob > 0.0) & (prob < np.finfo(float).tiny) & ~direct
+            zero = (prob == 0.0) & ~direct
+            for u0 in (0.0, 5e-324, 2.0**-53, 0.5):
+                u = np.full(g1.shape, u0)
+                before = [a.copy() for a in (g0, g1, np.asarray(dt), u)]
+                crossed, retire = fpt.bridge_step(g0, g1, thr, side, dt, u)
+                ref_crossed, ref_retire = _reference_bridge_step(g0, g1, thr, side, dt, u)
+                assert np.array_equal(crossed, ref_crossed), (side, u0)
+                assert np.array_equal(retire, ref_retire), (side, u0)
+                for a, b in zip(before, (g0, g1, np.asarray(dt), u)):
+                    assert np.array_equal(a, b)
+                if u0 == 0.0:
+                    assert crossed[subnormal].all() and not crossed[zero].any()
+            seen_subnormal |= bool(subnormal.any())
+            seen_zero |= bool(zero.any())
+            # 0-d inputs around the last nonzero exponential, last dt row
+            at_edge = np.abs(x - edge) < 1e-9
+            last_dt = float(np.ravel(dt)[-1])
+            for a, b in zip(g0.reshape(-1, x.size)[-1, at_edge], g1.reshape(-1, x.size)[-1, at_edge]):
+                for u0 in (0.0, 5e-324):
+                    args = (np.array(a), np.array(b), thr, side, last_dt, np.array(u0))
+                    assert fpt.bridge_step(*args) == _reference_bridge_step(*args)
+    assert seen_subnormal and seen_zero
 
 
 def test_walk_is_deterministic():

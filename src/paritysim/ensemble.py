@@ -449,12 +449,18 @@ def _crossing_chunk(args) -> dict:
     worker count; it also depends on the block schedule and on the other
     runs of the chunk, so a partial last chunk draws differently from a
     full one.
+
+    The window is [0, tau_max], and the steps of fpt.walk_dts can end past
+    it: a crossing located after tau_max counts as open (time nan, counted
+    in n_open).
     """
     seed, p0, lo, hi, thr, dt1, tau_max = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)))
     c = np.full(hi - lo, drift_offset(p0[0] + p0[1], p0[2] + p0[3]))
     times, n_open = walk_first_passage(c, thr, walk_dts(thr, dt1, tau_max), block_draws(rng))
-    return {"times": times, "n_open": n_open}
+    late = times > tau_max
+    times[late] = np.nan
+    return {"times": times, "n_open": n_open + int(late.sum())}
 
 
 def _crossing_chunks(state, cfg: SimConfig, n_runs: int) -> list[tuple]:
@@ -482,7 +488,9 @@ def first_crossing_times(
     """Per-run border-crossing times (units T_M, nan = never) from the
     measurement-only simulator, plus the count of runs still open at the
     window end. cfg.delta must be 0; cfg.dt sets the fine step and
-    cfg.duration the window, both converted to T_M units internally."""
+    cfg.duration the window, both converted to T_M units internally. No
+    reported time exceeds duration / s0: a run that crosses only after the
+    window end counts as open."""
     if cfg.delta != 0.0:
         raise ValueError("first-crossing analytics require delta = 0")
     if n_runs < 1:

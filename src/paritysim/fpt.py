@@ -434,7 +434,9 @@ def walk_dts(thr: float, dt1: float, tau_max: float) -> np.ndarray:
     Fine steps dt1 through the bulk of the conditional-time distribution,
     then 20x coarser through the straggler tail. The bridge rule keeps the
     crossing fraction unbiased at any step size, so coarsening only touches
-    the time resolution of the few late crossers.
+    the time resolution of the few late crossers. Step counts are rounded
+    up, so the steps can end less than one step past tau_max;
+    ensemble._crossing_chunk counts a crossing located there as open.
     """
     n1 = max(1, int(math.ceil(min(_tau_bulk(thr), tau_max) / dt1)))
     dt2 = 20.0 * dt1

@@ -495,6 +495,17 @@ def test_crossing_times_are_positive_and_bounded():
     assert np.all(crossed > 0.0)
     assert np.all(crossed <= 10.0)
     assert n_open <= 5
+    # the last coarse step of this window ends past 12 T_M, and a run of
+    # seed 1 crosses within that overshoot: it counts as open
+    state = [0.26, 0.26, 0.22, 0.26]
+    cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=2e-3, seed=1)
+    _, _, _, _, thr, dt1, tau_max = _crossing_chunks(state, cfg, 1)[0]
+    assert walk_dts(thr, dt1, tau_max).sum() > 12.0
+    times, n_open = first_crossing_times(state, cfg, 2000)
+    crossed = times[~np.isnan(times)]
+    assert np.all(crossed > 0.0)
+    assert np.all(crossed <= 12.0)
+    assert n_open > 0
 
 
 def _stepped_crossings(args, z, u):

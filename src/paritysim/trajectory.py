@@ -31,9 +31,11 @@ The class step is written once, as _class_step on the five values p1,
 p2, p3, p4, y and the scaled draw. It uses only +, - and *, so the same
 source runs on Python floats for a single trajectory (_lane_stepper) and
 on (n,) rows for n lanes held as one (5, n) array (_class_stepper), and
-the two agree bit for bit. Both renormalize with the same divisions and
-repair through _class_repair, the one closed-form projection on (5, n)
-rows; the lane reaches it at n = 1 when its prefilter cannot clear it.
+the two agree bit for bit. Both renormalize with the same divisions. The
+rows repair through _class_repair, the closed-form projection on (5, n)
+rows; a lane its prefilter cannot clear goes to _lane_repair, the same
+projection transcribed onto the five floats, which makes the float
+operations _class_repair makes on that lane (tested).
 
 One loop, _step_blocks, steps every state: it draws the noise of a chunk
 of up to _CHUNK runs from one stream a block at a time, applies the
@@ -210,16 +212,22 @@ def clip_negative_eigenvalues(
     vals, vecs = np.linalg.eigh(rho[idx])
     worst = float(vals.min())
     if worst < -floor:
-        raise DivergenceError(
-            f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
-            "integrator divergence (dt too large?)"
-        )
+        raise _below_floor(worst, floor)
     total = float(-vals[vals < 0.0].sum())
     clipped = np.clip(vals, 0.0, None)
     new = np.einsum("nij,nj,nkj->nik", vecs, clipped, np.conjugate(vecs))
     new /= np.real(np.einsum("nii->n", new))[:, None, None]
     rho[idx] = new
     return rho, total, int(idx.size)
+
+
+def _below_floor(worst: float, floor: float) -> DivergenceError:
+    """The error of a positivity projection whose smallest eigenvalue is
+    below -floor."""
+    return DivergenceError(
+        f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
+        "integrator divergence (dt too large?)"
+    )
 
 
 def clip_floor(cfg: SimConfig) -> float:
@@ -311,10 +319,7 @@ def _class_repair(s: np.ndarray, floor: float) -> tuple[float, int]:
     if worst >= -_CLASS_SLACK:
         return 0.0, 0
     if worst < -floor:
-        raise DivergenceError(
-            f"eigenvalue {worst!r} below the clip floor -{floor!r}: "
-            "integrator divergence (dt too large?)"
-        )
+        raise _below_floor(worst, floor)
     flag = low < -_CLASS_SLACK
     kept = np.maximum(spec, 0.0)
     c1, cp, cm, c4 = kept - spec
@@ -330,6 +335,37 @@ def _class_repair(s: np.ndarray, floor: float) -> tuple[float, int]:
     new /= (k1 + k4) + (kp + km)
     np.copyto(s, new, where=flag)
     return total, int(np.count_nonzero(flag))
+
+
+def _lane_repair(p1, p2, p3, p4, y, floor: float):
+    """_class_repair on one finite lane held as five Python floats.
+
+    A transcription, not a second projection: it makes the float
+    operations _class_repair makes on that lane as a (5, 1) row, in the
+    same order, with the same np.hypot (math.hypot can differ in the last
+    bit), and raises the same DivergenceError. np.maximum(v, 0.0) gives
+    0.0 for v = -0.0, hence v if v > 0.0 else 0.0. Returns (lane, clipped
+    magnitude, lanes clipped); a property test pins it to _class_repair,
+    so the two change together.
+    """
+    h, d = (p2 + p3) * 0.5, (p2 - p3) * 0.5
+    r = float(np.hypot(d, y))
+    lp, lm = h + r, h - r
+    worst = min(p1, p4, lm)
+    if worst >= -_CLASS_SLACK:
+        return (p1, p2, p3, p4, y), 0.0, 0
+    if worst < -floor:
+        raise _below_floor(worst, floor)
+    k1 = p1 if p1 > 0.0 else 0.0
+    kp = lp if lp > 0.0 else 0.0
+    km = lm if lm > 0.0 else 0.0
+    k4 = p4 if p4 > 0.0 else 0.0
+    total = ((k1 - p1) + (k4 - p4)) + ((kp - lp) + (km - lm))
+    scale = (kp - km) / max(r * 2.0, _TINY)
+    hc, dc = (kp + km) * 0.5, scale * d
+    norm = (k1 + k4) + (kp + km)
+    lane = (k1 / norm, (hc + dc) / norm, (hc - dc) / norm, k4 / norm, scale * y / norm)
+    return lane, total, 1
 
 
 def _class_rows(p, y, n: int) -> np.ndarray:
@@ -376,16 +412,16 @@ def _advance_full(
     return rho, float(dev.sum()), clipped, n_c
 
 
-# The lane prefilter passes a lane without the repair only if p1 >= 0,
+# The lane prefilter passes a lane without _lane_repair only if p1 >= 0,
 # p4 >= 0, h >= 0 and h^2 - (d^2 + y^2) >= _LANE_MARGIN. Exactly, that
 # makes l- = (h^2 - r^2) / (h + r) >= _LANE_MARGIN / (2 h), and h <= 1/2 up
 # to the trace drift, so l- >= 1e-12. Rounding in the prefilter and in
-# the repair's h - hypot(d, y) is a few ulp of h (< 1e-15), so the
-# repair would find low >= 0 > -_CLASS_SLACK and not flag the lane.
+# the projection's h - hypot(d, y) is a few ulp of h (< 1e-15), so the
+# projection would find low >= 0 > -_CLASS_SLACK and not flag the lane.
 # A lane with p1 >= 0, p4 >= 0 and an empty u2-u3 block (p2 = p3 = y = 0)
 # has the spectrum p1, p4, 0, 0 exactly, so it passes too; the Bell-state
 # starts u1 and u4 stay on it for good. The prefilter sends extra lanes,
-# never fewer.
+# never fewer; _lane_repair returns those unchanged, for one np.hypot.
 _LANE_MARGIN = 1e-12
 
 
@@ -393,12 +429,13 @@ def _lane_stepper(cfg: SimConfig, floor: float):
     """_class_stepper for a single lane held as five Python floats.
 
     Returns advance(lane, xi) -> (lane, |tr - 1|, clipped magnitude, lanes
-    clipped), with lane = (p1, p2, p3, p4, y) and xi a one-element array.
-    The step is _class_step on the floats, and the trace check and
-    renormalization make the float operations of _class_stepper. A bad
-    trace raises through _trace_deviation, and lanes the prefilter above
-    cannot clear go to _class_repair at n = 1, which alone decides and
-    makes a repair.
+    clipped), with lane = (p1, p2, p3, p4, y) and xi the driver's
+    one-element row of the draw. The step is _class_step on the floats,
+    and the trace check and renormalization make the float operations of
+    _class_stepper. A bad trace raises through _trace_deviation, and
+    lanes the prefilter above cannot clear go to _lane_repair, which alone
+    decides and makes a repair, on the floats. Only np.hypot there meets
+    numpy: a step that raises nothing builds no array.
     """
     per_xi = cfg.dt / cfg.s0
     coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
@@ -418,9 +455,8 @@ def _lane_stepper(cfg: SimConfig, floor: float):
         if p1 < 0.0 or p4 < 0.0 or h < 0.0 or (
             h * h - (d * d + y * y) < _LANE_MARGIN and not p2 == p3 == y == 0.0
         ):
-            s = np.array([[p1], [p2], [p3], [p4], [y]])
-            clipped, n_c = _class_repair(s, floor)
-            return tuple(s[:, 0].tolist()), dev, clipped, n_c
+            lane, clipped, n_c = _lane_repair(p1, p2, p3, p4, y, floor)
+            return lane, dev, clipped, n_c
         return (p1, p2, p3, p4, y), dev, 0.0, 0
 
     return advance

@@ -291,8 +291,9 @@ def test_class_path_positivity_is_exact():
 def test_simulate_lane_equals_batch_of_one():
     """simulate's one-lane class stepper is bitwise the batch stepper at n = 1:
     recorded states, currents and the health totals, over the regimes, an
-    environment rate, a record stride, a start with y != 0 and a Bell-state
-    start, whose lane never reaches the repair."""
+    environment rate, a record stride, a start with y != 0, a Bell-state
+    start, whose lane never reaches the repair, and a run long enough to
+    purify, where more than half the steps repair on the lane's floats."""
     g = np.zeros((4, 4))
     g[1, 2] = g[2, 1] = 0.7
     cases = [
@@ -303,6 +304,7 @@ def test_simulate_lane_equals_batch_of_one():
         (SimConfig(k_ratio=2.0, duration=1.0, seed=6, record_stride=7), MIXED),
         (SimConfig(k_ratio=1.0, duration=1.0, seed=2), preset_state("sigma-boundary")),
         (SimConfig(k_ratio=1.0, duration=2.0, seed=9), preset_state("bell-u4")),
+        (SimConfig(k_ratio=0.3, duration=10.0, seed=1), MIXED),
     ]
     assert preset_state("sigma-boundary").mat[1, 2].imag != 0.0
     repairs = 0
@@ -319,7 +321,7 @@ def test_simulate_lane_equals_batch_of_one():
         assert np.array_equal(rec.currents, mean_i + xi[steps])
         assert (rec.trace_correction_total, rec.clip_total, rec.n_clips) == totals
         repairs += rec.n_clips
-    assert repairs > 0
+    assert repairs >= 1_700
 
 
 def bits(values):
@@ -350,15 +352,18 @@ def class_lanes(draw):
 
 
 # lanes: unflagged bulk, flagged by y > sqrt(p2 p3), an unflagged empty u2-u3
-# block, and an empty block flagged by p1 < 0
+# block, an empty block flagged by p1 < 0, an unflagged and a p4 < 0 lane
+# with coinciding u2-u3 eigenvalues (r = 0), p1 = -0.0 flagged by l-, and
+# p1, p4 and l- all negative, where the order of the clipped sum shows
 EDGE_LANES = (
-    np.array([[0.25, 0.1, 0.5, -1e-3],
-              [0.25, 0.4, 0.0, 0.0],
-              [0.25, 0.4, 0.0, 0.0],
-              [0.25, 0.1, 0.5, 1.001],
-              [0.1, 0.41, 0.0, 0.0]]),
-    np.array([0.03, -0.2, 0.1, 0.0]),
+    np.array([[0.25, 0.1, 0.5, -1e-3, 0.4, 0.35, -0.0, -0.004],
+              [0.25, 0.4, 0.0, 0.0, 0.1, 0.33, 0.4, 0.4],
+              [0.25, 0.4, 0.0, 0.0, 0.1, 0.33, 0.1, 0.1],
+              [0.25, 0.1, 0.5, 1.001, 0.4, -0.01, 0.5, -0.005],
+              [0.1, 0.41, 0.0, 0.0, 0.0, 0.0, 0.21, 0.238]]),
+    np.array([0.03, -0.2, 0.1, 0.0, 0.05, -0.1, 0.2, 0.0]),
 )
+EDGE_FLAGS = [0, 1, 0, 1, 0, 1, 1, 1]
 
 
 @given(lanes=class_lanes(), delta=st.floats(0.0, 10.0), gamma23=st.floats(0.0, 5.0))
@@ -398,26 +403,60 @@ def test_class_repair_lane_equals_lane_of_batch(lanes):
     assert math.isclose(total, math.fsum(totals), rel_tol=1e-12, abs_tol=0.0)
 
 
+@given(lanes=class_lanes())
+@example(lanes=EDGE_LANES)
+def test_class_repair_same_bits_on_floats_and_rows(lanes):
+    """_lane_repair on one lane's Python floats gives the bits _class_repair
+    gives that lane as a (5, 1) row: the state, the clipped magnitude and
+    whether the lane was flagged; below the clip floor both raise the same
+    DivergenceError."""
+    s, _ = lanes
+    floor = trajectory.clip_floor(SimConfig())
+    flags = []
+    for j in range(s.shape[1]):
+        row = s[:, j : j + 1].copy()
+        total, n_c = trajectory._class_repair(row, floor)
+        lane, clipped, flagged = trajectory._lane_repair(*s[:, j].tolist(), floor)
+        assert all(type(v) is float for v in (*lane, clipped))
+        assert np.array_equal(bits(lane), bits(row[:, 0]))
+        assert bits(clipped) == bits(total) and flagged == n_c
+        flags.append(flagged)
+        if flagged:
+            with pytest.raises(DivergenceError, match="below the clip floor") as rows_err:
+                trajectory._class_repair(s[:, j : j + 1].copy(), 1e-300)
+            with pytest.raises(DivergenceError) as lane_err:
+                trajectory._lane_repair(*s[:, j].tolist(), 1e-300)
+            assert str(lane_err.value) == str(rows_err.value)
+    if s is EDGE_LANES[0]:
+        assert flags == EDGE_FLAGS
+
+
 def test_lane_path_skips_repair_on_empty_u2_u3_block(monkeypatch):
     """From u1 or u4 the u2-u3 block stays exactly empty, so the lane
-    prefilter clears every step without the repair; from the mixed state
-    the same counter sees repairs."""
-    calls = []
-    repair = trajectory._class_repair
+    prefilter clears every step without entering _lane_repair; from the
+    mixed state the lane enters it, and every repair counted was made
+    there. The lane never calls the rows projection _class_repair."""
+    flagged = []
+    project = trajectory._lane_repair
 
-    def counting(s, floor):
-        calls.append(floor)
-        return repair(s, floor)
+    def counting(*lane):
+        out = project(*lane)
+        flagged.append(out[2])
+        return out
 
-    monkeypatch.setattr(trajectory, "_class_repair", counting)
+    def rows_projection(s, floor):
+        raise AssertionError("the lane called _class_repair")
+
+    monkeypatch.setattr(trajectory, "_lane_repair", counting)
+    monkeypatch.setattr(trajectory, "_class_repair", rows_projection)
     cfg = SimConfig(k_ratio=1.0, duration=2.0, seed=6)
     for name in ("bell-u1", "bell-u4"):
         rec = simulate(cfg, preset_state(name))
         assert rec.n_clips == 0 and rec.clip_total == 0.0
         assert np.all(rec.lam == 1.0)
-    assert calls == []
-    simulate(cfg, MIXED)
-    assert calls
+    assert flagged == []
+    rec = simulate(cfg, MIXED)
+    assert rec.n_clips > 0 and sum(flagged) == rec.n_clips
 
 
 def test_noise_calibration():

@@ -353,17 +353,18 @@ def class_lanes(draw):
 
 # lanes: unflagged bulk, flagged by y > sqrt(p2 p3), an unflagged empty u2-u3
 # block, an empty block flagged by p1 < 0, an unflagged and a p4 < 0 lane
-# with coinciding u2-u3 eigenvalues (r = 0), p1 = -0.0 flagged by l-, and
-# p1, p4 and l- all negative, where the order of the clipped sum shows
+# with coinciding u2-u3 eigenvalues (r = 0), p1 = -0.0 flagged by l-,
+# p1, p4 and l- all negative, where the order of the clipped sum shows, and
+# a lane flagged by l- whose hypot(d, y) math.hypot gets one ulp off
 EDGE_LANES = (
-    np.array([[0.25, 0.1, 0.5, -1e-3, 0.4, 0.35, -0.0, -0.004],
-              [0.25, 0.4, 0.0, 0.0, 0.1, 0.33, 0.4, 0.4],
-              [0.25, 0.4, 0.0, 0.0, 0.1, 0.33, 0.1, 0.1],
-              [0.25, 0.1, 0.5, 1.001, 0.4, -0.01, 0.5, -0.005],
-              [0.1, 0.41, 0.0, 0.0, 0.0, 0.0, 0.21, 0.238]]),
-    np.array([0.03, -0.2, 0.1, 0.0, 0.05, -0.1, 0.2, 0.0]),
+    np.array([[0.25, 0.1, 0.5, -1e-3, 0.4, 0.35, -0.0, -0.004, 0.3],
+              [0.25, 0.4, 0.0, 0.0, 0.1, 0.33, 0.4, 0.4, 0.263],
+              [0.25, 0.4, 0.0, 0.0, 0.1, 0.33, 0.1, 0.1, 0.177],
+              [0.25, 0.1, 0.5, 1.001, 0.4, -0.01, 0.5, -0.005, 0.2],
+              [0.1, 0.41, 0.0, 0.0, 0.0, 0.0, 0.21, 0.238, 0.22]]),
+    np.array([0.03, -0.2, 0.1, 0.0, 0.05, -0.1, 0.2, 0.0, 0.0]),
 )
-EDGE_FLAGS = [0, 1, 0, 1, 0, 1, 1, 1]
+EDGE_FLAGS = [0, 1, 0, 1, 0, 1, 1, 1, 1]
 
 
 @given(lanes=class_lanes(), delta=st.floats(0.0, 10.0), gamma23=st.floats(0.0, 5.0))

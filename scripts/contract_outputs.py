@@ -10,8 +10,19 @@ files into OUT: offclass.json (the mixed state with rho_14 = 0.01 and
 rho_23 = 0.02 + 0.01i) and rho13.json (diag(0.4, 0.3, 0.2, 0.1) with
 rho_13 = 0.2).
 
-To compare two source trees, run it once per tree with PYTHONPATH set to
-that tree's src (an absolute path), then diff the two directories:
+To compare this checkout with a git revision in one command, pass
+--against REV:
+
+    PYTHONPATH=src python scripts/contract_outputs.py OUT --against HEAD
+
+REV's tree is exported with git archive into a temporary directory,
+removed afterwards. The command list runs once with PYTHONPATH set to
+that tree's src, into OUT/parent, and once with this checkout's src, into
+OUT/change. The script then prints `diff -r` of the two directories and
+exits non-zero when they differ.
+
+To compare two source trees by hand, run it once per tree with PYTHONPATH
+set to that tree's src (an absolute path), then diff the two directories:
 
     PYTHONPATH=/path/to/a/src python scripts/contract_outputs.py out-a
     PYTHONPATH=/path/to/b/src python scripts/contract_outputs.py out-b
@@ -21,13 +32,19 @@ that tree's src (an absolute path), then diff the two directories:
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import pathlib
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 import numpy as np
 
 from paritysim.qstate import make_state, preset_state, state_to_json
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 TRAJECTORIES = [
     "--k 0.3 --duration 45.5",
@@ -80,20 +97,47 @@ def write_states(out: pathlib.Path) -> None:
         (out / name).write_text(state_to_json(make_state(mat)), encoding="ascii")
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", type=pathlib.Path, help="directory for every output (created)")
-    args = ap.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_states(args.out)
+def run_commands(out: pathlib.Path, src: pathlib.Path | None = None) -> None:
+    """Write the state files and every command's outputs into out, running
+    paritysim from src (absolute) if given, else from the caller's
+    PYTHONPATH."""
+    env = None if src is None else dict(os.environ, PYTHONPATH=str(src))
+    out.mkdir(parents=True, exist_ok=True)
+    write_states(out)
     for name, argv, has_out in commands():
         if has_out:
             argv = [*argv, "--out", name]
-        proc = subprocess.run([sys.executable, "-m", "paritysim", *argv], cwd=args.out,
-                              stdout=subprocess.PIPE)
-        (args.out / f"{name}.stdout").write_bytes(proc.stdout)
-        (args.out / f"{name}.rc").write_text(f"{proc.returncode}\n", encoding="ascii")
+        proc = subprocess.run([sys.executable, "-m", "paritysim", *argv], cwd=out,
+                              stdout=subprocess.PIPE, env=env)
+        (out / f"{name}.stdout").write_bytes(proc.stdout)
+        (out / f"{name}.rc").write_text(f"{proc.returncode}\n", encoding="ascii")
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+
+
+def export_tree(rev: str, dest: pathlib.Path) -> None:
+    """Extract the tree of git revision rev of this checkout into dest."""
+    tree = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=pathlib.Path, help="directory for every output (created)")
+    ap.add_argument("--against", metavar="REV",
+                    help="run REV's tree into OUT/parent and this checkout's into "
+                         "OUT/change, print diff -r and exit 1 when they differ")
+    args = ap.parse_args()
+    if args.against is None:
+        run_commands(args.out)
+        return
+    out = args.out.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        export_tree(args.against, pathlib.Path(tmp))
+        run_commands(out / "parent", pathlib.Path(tmp, "src"))
+    run_commands(out / "change", ROOT / "src")
+    sys.exit(subprocess.run(["diff", "-r", str(out / "parent"), str(out / "change")]).returncode)
 
 
 if __name__ == "__main__":

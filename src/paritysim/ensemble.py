@@ -36,6 +36,7 @@ from .trajectory import (
     SimConfig,
     _class_rows,
     _class_stepper,
+    _per_step,
     _record_steps,
     _step_blocks,
     clip_floor,
@@ -211,7 +212,7 @@ def _ensemble_chunk(args) -> dict:
     n, dt = hi - lo, cfg.dt
     rec_at = _record_steps(cfg)
     rows = _class_rows(p0, y0, n)
-    advance = _class_stepper(cfg, clip_floor(cfg))
+    advance = _per_step(_class_stepper(cfg, clip_floor(cfg)))
     lam_rec = np.empty((n, rec_at.size))
     rise = np.full(n, np.nan)
     crossings = []
@@ -391,7 +392,8 @@ def coupled_step_bias(
 
         ends = []
         for c, draw in ((cfg, coarse), (fine, lambda k0, k1: z[k0:k1])):
-            rows, advance = _class_rows(p0, y0, hi - lo), _class_stepper(c, clip_floor(c))
+            rows = _class_rows(p0, y0, hi - lo)
+            advance = _per_step(_class_stepper(c, clip_floor(c)))
             for _, blk, _, _ in _step_blocks(c, lo, hi, rows, advance, draw):
                 pass
             ends.append(np.maximum(lambda_branch_max(blk[-1, :4].T, blk[-1, 4]), 0.0))

@@ -38,10 +38,15 @@ projection transcribed onto the five floats, which makes the float
 operations _class_repair makes on that lane (tested).
 
 One loop, _step_blocks, steps every state: it draws the noise of a chunk
-of up to _CHUNK runs from one stream a block at a time, applies the
-caller's state update and hands back blocks of _EVENT_BLOCK steps.
-simulate records from the blocks, and the ensemble chunks reduce them to
-branch values and border events.
+of up to _CHUNK runs from one stream a block at a time, hands each block
+of up to _EVENT_BLOCK steps to the caller's block stepper and yields the
+block. Array states (ensemble rows and the (n, 4, 4) path) share one
+per-step loop, _per_step, that stores every step's state; the one-lane
+stepper runs its own loop on the floats, reading a block's draws with one
+tolist() and storing its states with one write. simulate records from the
+blocks, a class run as (n, 5) rows whose (n, 4, 4) states TrajectoryRecord
+builds on demand, and the ensemble chunks reduce them to branch values and
+border events.
 """
 
 from __future__ import annotations
@@ -378,10 +383,10 @@ def _class_rows(p, y, n: int) -> np.ndarray:
 
 
 def _class_stepper(cfg: SimConfig, floor: float):
-    """The state update _step_blocks applies to (5, n) class rows s, one
-    integrator step: _class_step on the scaled draws, the trace check and
-    renormalization, _class_repair. Returns advance(s, xi) -> (s, sum of
-    |tr - 1|, clipped magnitude, lanes clipped)."""
+    """One integrator step of (5, n) class rows s: _class_step on the
+    scaled draws, the trace check and renormalization, _class_repair.
+    Returns advance(s, xi) -> (s, sum of |tr - 1|, clipped magnitude,
+    lanes clipped), which _per_step runs over a block."""
     per_xi = cfg.dt / cfg.s0
     coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
 
@@ -412,6 +417,29 @@ def _advance_full(
     return rho, float(dev.sum()), clipped, n_c
 
 
+def _per_step(step):
+    """The block stepper of _step_blocks for array states, (5, n) class
+    rows or (n, 4, 4) states: step(state, xi) -> (state, sum of |tr - 1|,
+    clipped magnitude, lanes clipped) once per step, on draw row xi[i],
+    writing states[i + 1]."""
+
+    def advance(states, xi, k0, health):
+        corrections, clip_total, n_clips = health
+        state = states[0]
+        for i in range(len(states) - 1):
+            try:
+                state, corr, clipped, n_c = step(state, xi[i])
+            except DivergenceError as exc:
+                raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
+            corrections += corr
+            clip_total += clipped
+            n_clips += n_c
+            states[i + 1] = state
+        return corrections, clip_total, n_clips
+
+    return advance
+
+
 # The lane prefilter passes a lane without _lane_repair only if p1 >= 0,
 # p4 >= 0, h >= 0 and h^2 - (d^2 + y^2) >= _LANE_MARGIN. Exactly, that
 # makes l- = (h^2 - r^2) / (h + r) >= _LANE_MARGIN / (2 h), and h <= 1/2 up
@@ -426,38 +454,47 @@ _LANE_MARGIN = 1e-12
 
 
 def _lane_stepper(cfg: SimConfig, floor: float):
-    """_class_stepper for a single lane held as five Python floats.
-
-    Returns advance(lane, xi) -> (lane, |tr - 1|, clipped magnitude, lanes
-    clipped), with lane = (p1, p2, p3, p4, y) and xi the driver's
-    one-element row of the draw. The step is _class_step on the floats,
-    and the trace check and renormalization make the float operations of
-    _class_stepper. A bad trace raises through _trace_deviation, and
-    lanes the prefilter above cannot clear go to _lane_repair, which alone
-    decides and makes a repair, on the floats. Only np.hypot there meets
-    numpy: a step that raises nothing builds no array.
+    """The block stepper of _step_blocks for one class lane, on five Python
+    floats: it reads the lane from states[0] and the block's scaled draws
+    with one tolist(), makes each step as _class_step, trace check and
+    renormalization with the float operations of _class_stepper, and
+    stores the block's lanes with one write into states[1:]. Lanes the
+    prefilter above cannot clear go to _lane_repair, which alone decides
+    and makes a repair, on the floats. Only np.hypot there meets numpy: a
+    step that raises nothing builds no array.
     """
     per_xi = cfg.dt / cfg.s0
     coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
 
-    def advance(lane, xi):
-        p1, p2, p3, p4, y, tr = _class_step(*lane, xi.item() * per_xi, coef)
-        dev = abs(tr - 1.0)
-        if not dev <= _TRACE_DRIFT:
-            _trace_deviation(np.array([tr]))
-        p1 /= tr
-        p2 /= tr
-        p3 /= tr
-        p4 /= tr
-        y /= tr
-        h = 0.5 * (p2 + p3)
-        d = 0.5 * (p2 - p3)
-        if p1 < 0.0 or p4 < 0.0 or h < 0.0 or (
-            h * h - (d * d + y * y) < _LANE_MARGIN and not p2 == p3 == y == 0.0
-        ):
-            lane, clipped, n_c = _lane_repair(p1, p2, p3, p4, y, floor)
-            return lane, dev, clipped, n_c
-        return (p1, p2, p3, p4, y), dev, 0.0, 0
+    def advance(states, xi, k0, health):
+        corrections, clip_total, n_clips = health
+        p1, p2, p3, p4, y = states[0].tolist()
+        lanes = []
+        try:
+            for a in (xi[:-1, 0] * per_xi).tolist():
+                p1, p2, p3, p4, y, tr = _class_step(p1, p2, p3, p4, y, a, coef)
+                dev = abs(tr - 1.0)
+                if not dev <= _TRACE_DRIFT:
+                    _trace_deviation(np.array([tr]))
+                corrections += dev
+                p1 /= tr
+                p2 /= tr
+                p3 /= tr
+                p4 /= tr
+                y /= tr
+                h = 0.5 * (p2 + p3)
+                d = 0.5 * (p2 - p3)
+                if p1 < 0.0 or p4 < 0.0 or h < 0.0 or (
+                    h * h - (d * d + y * y) < _LANE_MARGIN and not p2 == p3 == y == 0.0
+                ):
+                    (p1, p2, p3, p4, y), clipped, n_c = _lane_repair(p1, p2, p3, p4, y, floor)
+                    clip_total += clipped
+                    n_clips += n_c
+                lanes.append((p1, p2, p3, p4, y))
+        except DivergenceError as exc:
+            raise DivergenceError(f"step {k0 + len(lanes) + 1}: {exc}") from None
+        states[1:] = lanes
+        return corrections, clip_total, n_clips
 
     return advance
 
@@ -466,11 +503,14 @@ def _lane_stepper(cfg: SimConfig, floor: float):
 class TrajectoryRecord:
     """One realization sampled on the record grid.
 
-    states is a (n, 4, 4) Bell-basis array; lam is the branch maximum, nan
-    on rows whose class_residual exceeds 1e-7, concurrence max(lam, 0) or
-    the general Wootters value on those rows.
-    integrated_output[0] is reported as 0 (the t -> 0 limit of the running
-    mean is left undefined by 0/0). trace_correction_total
+    rows holds what the run stepped: (n, 5) class rows p1, p2, p3, p4 and
+    y = Im rho_23 for a run on the closed class, the (n, 4, 4) Bell-basis
+    states for a run off it. states gives (n, 4, 4) states either way,
+    built from the rows on demand for a class run. lam is the branch
+    maximum, nan on off-class rows whose class_residual exceeds 1e-7;
+    concurrence is max(lam, 0), or the general Wootters value on those
+    rows. integrated_output[0] is reported as 0 (the t -> 0 limit of the
+    running mean is left undefined by 0/0). trace_correction_total
     accumulates |Tr rho - 1| before each renormalization (rounding floor;
     the update is trace-preserving algebraically); clip_total accumulates
     the positivity projections, whose magnitude scales with dt.
@@ -478,7 +518,7 @@ class TrajectoryRecord:
 
     config: SimConfig
     times: np.ndarray
-    states: np.ndarray
+    rows: np.ndarray
     currents: np.ndarray
     integrated_output: np.ndarray
     lam: np.ndarray
@@ -487,30 +527,34 @@ class TrajectoryRecord:
     clip_total: float
     n_clips: int
 
+    @property
+    def on_class(self) -> bool:
+        return self.rows.ndim == 2
+
+    @property
+    def states(self) -> np.ndarray:
+        """The (n, 4, 4) Bell-basis states of the record."""
+        return _class_matrices(self.rows) if self.on_class else self.rows
+
     def state_at(self, k: int) -> DensityMatrix:
-        return sanitize(self.states[k]).state
+        mat = _class_matrices(self.rows[k][None])[0] if self.on_class else self.rows[k]
+        return sanitize(mat).state
 
     def __len__(self) -> int:
         return self.times.size
 
     def to_csv(self, path) -> None:
-        cols = np.column_stack(
-            [
-                self.times,
-                np.real(self.states[:, 0, 0]),
-                np.real(self.states[:, 1, 1]),
-                np.real(self.states[:, 2, 2]),
-                np.real(self.states[:, 3, 3]),
-                np.real(self.states[:, 1, 2]),
-                np.imag(self.states[:, 1, 2]),
-                np.real(self.states[:, 0, 3]),
-                np.imag(self.states[:, 0, 3]),
-                self.currents,
-                self.integrated_output,
-                self.lam,
-                self.concurrence,
-            ]
-        )
+        s = self.rows
+        if self.on_class:
+            # rho_14 and Re rho_23 are exactly 0 on the class: written as the
+            # "0" %.17g makes of them
+            state_cols, fmt = [*s.T], ["%.17g"] * 4 + ["0", "%.17g", "0", "0"]
+        else:
+            state_cols = [*s.diagonal(0, 1, 2).real.T, s[:, 1, 2].real, s[:, 1, 2].imag,
+                          s[:, 0, 3].real, s[:, 0, 3].imag]
+            fmt = ["%.17g"] * 8
+        cols = np.column_stack([self.times, *state_cols, self.currents,
+                                self.integrated_output, self.lam, self.concurrence])
         header = (
             "t,rho_11,rho_22,rho_33,rho_44,re_rho_23,im_rho_23,"
             "re_rho_14,im_rho_14,current,integrated_output,lambda,concurrence\n"
@@ -518,7 +562,7 @@ class TrajectoryRecord:
         # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, formatted
         # from Python floats one block of rows at a time: a whole long record
         # as lists and strings would cost several MB
-        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+        row = ",".join(["%.17g", *fmt, *["%.17g"] * 4]) + "\n"
         with open(path, "w", encoding="ascii") as fh:
             fh.write(header)
             for at in range(0, len(cols), _CSV_BLOCK):
@@ -526,8 +570,18 @@ class TrajectoryRecord:
                 fh.write("".join(row % tuple(r) for r in block))
 
 
+def _class_matrices(rows: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) Bell-basis states of (n, 5) class rows."""
+    states = np.zeros((len(rows), 4, 4), dtype=np.complex128)
+    states.real[:, range(4), range(4)] = rows[:, :4]
+    states.imag[:, 1, 2] = rows[:, 4]
+    states.imag[:, 2, 1] = -rows[:, 4]
+    return states
+
+
 def _record_entanglement(states: np.ndarray):
-    """Branch maximum and concurrence for recorded states, closed-form on the
+    """Branch maximum and concurrence for the recorded states of an
+    off-class run: closed-form on rows within _RECORD_CLASS_TOL of the
     class, lambda = nan and the general Wootters concurrence off it."""
     pops = np.real(np.einsum("nii->ni", states))
     off = ~(class_residual(states) <= _RECORD_CLASS_TOL)
@@ -549,21 +603,24 @@ def _record_steps(cfg: SimConfig) -> np.ndarray:
 def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
     """The one stepping loop: runs [lo, hi) from state over cfg.n_steps.
 
-    advance(state, xi) -> (state, sum of |tr - 1|, clipped magnitude, lanes
-    clipped) makes one step on xi, one draw per run. draw(k0, k1) supplies
-    the standard normals of steps [k0, k1) for every run, one
-    (k1 - k0, hi - lo) array, which the loop scales by the noise amplitude;
-    by default they come from the chunk's one generator,
-    SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)), drawn step-major a
-    block at a time. After each block of up to _EVENT_BLOCK steps from step
-    k0 this yields (k0, states, xi, health): states[i] is the state at step
-    k0 + i and xi[i] the draw at that step, from i = 0 to the block's end,
-    so the last xi row is the draw after the block's last step; the next
-    block carries it over into its row 0 and draws the rest, so the chunk
-    reads one unbroken stream. Both are views, valid until the next block.
-    health is the running (sum of |tr - 1|, clipped magnitude, lanes
-    clipped). A DivergenceError is raised again with the step it happened
-    at.
+    advance(states, xi, k0, health) -> health steps a whole block: from
+    states[0] it makes one step per draw row xi[i], i < len(states) - 1,
+    writes the state after step i into states[i + 1], and adds each step's
+    |tr - 1| sum, clipped magnitude and lanes clipped onto the running
+    totals health, step by step; a DivergenceError it raises names the
+    global step, k0 + i + 1 (_per_step for array states, _lane_stepper for
+    one lane's floats). draw(k0, k1) supplies the standard normals of steps
+    [k0, k1) for every run, one (k1 - k0, hi - lo) array, which the loop
+    scales by the noise amplitude; by default they come from the chunk's
+    one generator, SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)),
+    drawn step-major a block at a time. After each block of up to
+    _EVENT_BLOCK steps from step k0 this yields (k0, states, xi, health):
+    states[i] is the state at step k0 + i and xi[i] the draw at that step,
+    from i = 0 to the block's end, so the last xi row is the draw after the
+    block's last step; the next block carries it over into its row 0 and
+    draws the rest, so the chunk reads one unbroken stream. Both are views,
+    valid until the next block. health is the running (sum of |tr - 1|,
+    clipped magnitude, lanes clipped).
     """
     n_steps = cfg.n_steps
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
@@ -578,22 +635,13 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
     first = np.asarray(state)
     states = np.empty((_EVENT_BLOCK + 1, *first.shape), first.dtype)
     states[0] = first
-    corrections = clip_total = 0.0
-    n_clips = 0
+    health = (0.0, 0.0, 0)
     for k0 in range(0, n_steps, _EVENT_BLOCK):
         n = min(_EVENT_BLOCK, n_steps - k0)
         fresh = 1 if k0 else 0
         np.multiply(draw(k0 + fresh, k0 + n + 1), sigma, out=xi[fresh : n + 1])
-        for i in range(n):
-            try:
-                state, corr, clipped, n_c = advance(state, xi[i])
-            except DivergenceError as exc:
-                raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
-            corrections += corr
-            clip_total += clipped
-            n_clips += n_c
-            states[i + 1] = state
-        yield k0, states[: n + 1], xi[: n + 1], (corrections, clip_total, n_clips)
+        health = advance(states[: n + 1], xi[: n + 1], k0, health)
+        yield k0, states[: n + 1], xi[: n + 1], health
         states[0] = states[n]
         xi[0] = xi[n]
 
@@ -612,11 +660,12 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     An initial state within X_TOL of the closed class (class_residual, as
     in run_ensemble) runs _class_step on the five Python floats of its
     populations and Im rho_23 (_lane_stepper), the rows ensembles step, so
-    it is bitwise an ensemble of one (tested). Any other state runs on the
-    (n, 4, 4) kernel. Both go through _step_blocks; per block, the
-    currents and the running integral come from the block's states and
-    draws with array operations, the integral summed in step order by
-    np.add.accumulate.
+    it is bitwise an ensemble of one (tested), and is recorded as (n, 5)
+    class rows with lambda_branch_max on them. Any other state runs on the
+    (n, 4, 4) kernel and is recorded through _record_entanglement. Both go
+    through _step_blocks; per block, the currents and the running integral
+    come from the block's states and draws with array operations, the
+    integral summed in step order by np.add.accumulate.
     """
     dt = cfg.dt
     floor = clip_floor(cfg)
@@ -626,9 +675,7 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
         advance = _lane_stepper(cfg, floor)
     else:
         state = initial.mat[None, :, :].astype(np.complex128)
-
-        def advance(rho, xi):
-            return _advance_full(rho, xi, cfg, floor)
+        advance = _per_step(lambda rho, xi: _advance_full(rho, xi, cfg, floor))
 
     rec_at = _record_steps(cfg)
     times = rec_at * dt
@@ -655,17 +702,14 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
     corrections, clip_total, n_clips = health
 
     if on_class:
-        states = np.zeros((len(rec), 4, 4), dtype=np.complex128)
-        states.real[:, range(4), range(4)] = rec[:, :4]
-        states.imag[:, 1, 2] = rec[:, 4]
-        states.imag[:, 2, 1] = -rec[:, 4]
+        lam = lambda_branch_max(rec[:, :4], rec[:, 4])
+        conc = np.maximum(lam, 0.0)
     else:
-        states = rec
-    lam, conc = _record_entanglement(states)
+        lam, conc = _record_entanglement(rec)
     return TrajectoryRecord(
         config=cfg,
         times=times,
-        states=states,
+        rows=rec,
         currents=currents,
         integrated_output=integrated,
         lam=lam,

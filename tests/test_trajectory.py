@@ -17,9 +17,9 @@ from scipy.linalg import expm
 
 from conftest import random_closed_class_bell, random_density_bell
 from event_reference import detect_events
-from paritysim import fpt, trajectory
+from paritysim import ensemble, fpt, trajectory
 from paritysim.cli import main
-from paritysim.concurrence import lambda_branch_values
+from paritysim.concurrence import lambda_branch_max, lambda_branch_values
 from paritysim.ensemble import run_ensemble
 from paritysim.qstate import (
     DensityMatrix,
@@ -71,7 +71,7 @@ def run_batch(cfg, initial, n_runs, checkpoints=frozenset()):
     (p, y), the summed (trace corrections, clipped magnitude, lanes
     clipped) and {step: (p, y)} from the loop's blocks."""
     rows = trajectory._class_rows(initial.diag, initial.mat[1, 2].imag, n_runs)
-    advance = trajectory._class_stepper(cfg, trajectory.clip_floor(cfg))
+    advance = trajectory._per_step(trajectory._class_stepper(cfg, trajectory.clip_floor(cfg)))
     grabbed = {}
     for k0, states, _, health in trajectory._step_blocks(cfg, 0, n_runs, rows, advance):
         for k in checkpoints & set(range(k0 + 1, k0 + len(states))):
@@ -730,6 +730,31 @@ def test_divergence_names_step_and_clip_floor(tmp_path, monkeypatch, capsys):
     assert "clip floor" in capsys.readouterr().err
 
 
+def test_divergence_step_across_block_edge(monkeypatch):
+    """Under a vanishing clip floor the first repair, past two block edges,
+    diverges: simulate's lane loop and an ensemble of one's rows loop name
+    the same global step, with the same message, and it is the first step a
+    per-step _class_stepper reference on the run's draws flags."""
+    monkeypatch.setattr(trajectory, "clip_floor", lambda cfg: 1e-300)
+    monkeypatch.setattr(ensemble, "clip_floor", lambda cfg: 1e-300)
+    cfg = SimConfig(k_ratio=1.0, duration=3.0, seed=1)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+    xi = rng.normal(0.0, math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt), cfg.n_steps)
+    step = trajectory._class_stepper(cfg, 1e-300)
+    s = trajectory._class_rows(MIXED.diag, 0.0, 1)
+    with pytest.raises(DivergenceError) as ref:
+        for k in range(cfg.n_steps):
+            s = step(s, xi[k : k + 1])[0]
+    first = k + 1
+    assert first > 2 * _EVENT_BLOCK and first % _EVENT_BLOCK != 0
+    with pytest.raises(DivergenceError) as lane:
+        simulate(cfg, MIXED)
+    with pytest.raises(DivergenceError) as rows:
+        run_ensemble(cfg, MIXED, 1)
+    assert str(lane.value) == f"step {first}: {ref.value}"
+    assert str(rows.value) == f"runs [0, 1) at step {first}: {ref.value}"
+
+
 def test_off_class_positivity_on_exact_spectrum(tmp_path):
     """Off the class the repair is triggered by the smallest eigvalsh
     eigenvalue below -1e-12. These runs from the mixed state with
@@ -816,6 +841,29 @@ def test_csv_bytes_match_savetxt(tmp_path):
                    header=header, comments="")
         rec.to_csv(tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert np.all(np.isnan(rec.lam))
+
+
+def test_class_record_holds_five_rows():
+    """A class run records (n, 5) float rows: its states are built from
+    them, its lambda is their branch maximum, never nan, and state_at gives
+    a density matrix. An off-class run keeps its (n, 4, 4) states and nan
+    lambda."""
+    cfg = SimConfig(k_ratio=1.0, duration=0.2, seed=4, record_stride=3)
+    rec = simulate(cfg, MIXED)
+    assert rec.rows.shape == (len(rec), 5) and rec.rows.dtype == np.float64
+    p, y = rec.rows[:, :4], rec.rows[:, 4]
+    assert np.array_equal(rec.states, class_matrices(p, y))
+    assert np.array_equal(rec.lam, lambda_branch_max(p, y))
+    assert not np.isnan(rec.lam).any()
+    for k in (0, len(rec) // 2, -1):
+        dm = rec.state_at(k)
+        assert isinstance(dm, DensityMatrix)
+        assert np.max(np.abs(dm.mat - rec.states[k])) <= 1e-15
+    off_class = MIXED.mat.copy()
+    off_class[0, 3] = off_class[3, 0] = 0.01
+    rec = simulate(cfg, make_state(off_class, "bell"))
+    assert rec.rows.shape == (len(rec), 4, 4) and rec.states is rec.rows
     assert np.all(np.isnan(rec.lam))
 
 

@@ -66,6 +66,8 @@ PROJECTIVES = [
     "--k 30 --runs 2000",
     "--k 30 --n-max 50 --runs 20000",
     "--delta-angle 0 --runs 300",
+    "--delta-angle 0.05 --n-max 400 --runs 3000",
+    "--k 2 --n-max 5 --runs 1",
 ]
 
 

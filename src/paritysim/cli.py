@@ -41,7 +41,7 @@ from .qstate import (
     state_from_json,
     trace_distance,
 )
-from .trajectory import SimConfig, simulate
+from .trajectory import SimConfig, _write_csv, simulate
 
 _SEED_ENV = "PARITY_SEED"
 
@@ -255,8 +255,7 @@ def cmd_projective(args) -> int:
     def table(header, *cols):
         """A writer of steps, times and cols as CSV under header."""
         fmt = ["%d"] + ["%.17g"] * (len(cols) + 1)
-        return lambda path: np.savetxt(path, np.column_stack([steps, times, *cols]),
-                                       fmt=fmt, delimiter=",", header=header, comments="")
+        return lambda path: _write_csv(path, header, np.column_stack([steps, times, *cols]), fmt)
 
     writers = {"curve.csv": table("step,time,avg_concurrence", analytic)}
     if n_runs is not None:

@@ -39,6 +39,7 @@ from .trajectory import (
     _per_step,
     _record_steps,
     _step_blocks,
+    _write_csv,
     clip_floor,
 )
 
@@ -147,7 +148,7 @@ class EnsembleStats:
             ]
         )
         header = "t,avg_lambda,se_lambda,avg_concurrence,se_concurrence"
-        np.savetxt(path, cols, fmt="%.17g", delimiter=",", header=header, comments="")
+        _write_csv(path, header, cols, ["%.17g"] * 5)
 
     def write_events_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:

@@ -2,9 +2,10 @@
 
 Each step applies the u2-u3 block rotation by delta_angle and then a
 projective parity measurement. The chain never leaves the closed class, so
-runs are carried as (5, n) class rows p1, p2, p3, p4, y = Im rho_23, the
-layout the ensemble kernel steps, updated in place, and concurrence along
-them comes from the closed-class branch values. The closed-form step average
+its states are (5, n) class rows p1, p2, p3, p4, y = Im rho_23, the layout
+the ensemble kernel steps, updated in place, and concurrence along them
+comes from the closed-class branch values; the Monte Carlo keeps one
+column per distinct state, not per run. The closed-form step average
 1 - cos^(2(n-1)) delta acts as the oracle for the Monte Carlo.
 delta_angle is the literal rotation angle of the block (the u2 amplitude
 picks up cos delta), which is the angle the closed forms are expressed in.
@@ -57,24 +58,29 @@ def rotate_class(s: np.ndarray, delta_angle: float) -> None:
     s[4] = c * s[4] + sn * d
 
 
-def pulse_class(s: np.ndarray, delta_angle: float, u: np.ndarray) -> np.ndarray:
-    """One chain step, in place on (5, n) class rows s: rotate by
-    delta_angle, then measure parity. Returns the even mask.
-
-    Lane i comes out even where u[i] < p_even, its Born probability after
-    the rotation, so uniforms in [0, 1) never pick a zero-weight branch.
-    The projection is (p * mask) / norm with a 0/1 mask, pinned bit for
-    bit like the rotation.
-    """
-    rotate_class(s, delta_angle)
-    p_even = s[0] + s[1]
-    even = u < p_even
+def _project(s: np.ndarray, p_even: np.ndarray, even: np.ndarray) -> None:
+    """Project rotated (5, n) class rows s in place onto the parity block
+    of each lane's even mask: (p * mask) / norm with a 0/1 mask and norm
+    p_even or 1 - p_even, pinned bit for bit like the rotation."""
     # the projection keeps one parity block and, with it, drops the
     # u2-u3 coherence that links the blocks
     s[:2] *= even
     s[2:4] *= ~even
     s[:4] /= np.where(even, p_even, 1.0 - p_even)
     s[4] = 0.0
+
+
+def pulse_class(s: np.ndarray, delta_angle: float, u: np.ndarray) -> np.ndarray:
+    """One chain step, in place on (5, n) class rows s: rotate by
+    delta_angle, then measure parity. Returns the even mask.
+
+    Lane i comes out even where u[i] < p_even, its Born probability after
+    the rotation, so uniforms in [0, 1) never pick a zero-weight branch.
+    """
+    rotate_class(s, delta_angle)
+    p_even = s[0] + s[1]
+    even = u < p_even
+    _project(s, p_even, even)
     return even
 
 
@@ -105,23 +111,50 @@ def monte_carlo_average(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ensemble of projective chains from the fully mixed state.
 
-    Returns (mean concurrence, standard error) per step, shape (n_steps,).
-    Deterministic in seed; all runs advance in lockstep on one stream,
-    one pulse_class step per step on one (5, n_runs) array, with each
-    step's uniforms drawn into one reused row.
+    Returns (mean concurrence, standard error) per step, shape (n_steps,);
+    the standard error is nan for one run. Deterministic in seed; all runs
+    advance in lockstep on one stream, one row of uniforms per step.
+
+    Runs that share a state bit for bit share its arithmetic, and all start
+    mixed while every outcome collapses onto one parity block. So the chain
+    steps a (5, U) table of distinct states, U a few dozen for 10^4 runs,
+    each run holding an np.intp column index. A step rotates the table,
+    sends run i even where u[i] < p_even of its column, projects only the
+    (column, branch) pairs some run took (no zero-weight branch is divided
+    by its weight) and keeps one column per bit pattern, so -0.0 and 0.0
+    stay apart. Each run's floats are those of a column of its own, and
+    its concurrence is gathered into run order before mean and std: the
+    outputs are bit for bit those of one column per run.
     """
     if n_steps < 1 or n_runs < 1:
         raise ValueError("n_steps and n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    s = np.full((5, n_runs), 0.25)
-    s[4] = 0.0
+    table = np.full((5, 1), 0.25)
+    table[4] = 0.0
+    state = np.zeros(n_runs, dtype=np.intp)
     u = np.empty(n_runs)
     means = np.empty(n_steps)
-    ses = np.empty(n_steps)
+    ses = np.full(n_steps, math.nan)
     for k in range(n_steps):
         rng.random(out=u)
-        pulse_class(s, delta_angle, u)
-        c = np.maximum(lambda_branch_max(s[:4].T, s[4]), 0.0)
+        rotate_class(table, delta_angle)
+        p_even = table[0] + table[1]
+        # run i takes pair 2 j + b: its column j's child on branch b, 1 odd
+        pair = 2 * state
+        pair += ~(u < p_even[state])
+        taken = np.zeros(2 * table.shape[1], dtype=bool)
+        taken[pair] = True
+        built = np.flatnonzero(taken)
+        children = table[:, built >> 1]
+        _project(children, p_even[built >> 1], built % 2 == 0)
+        bits = np.ascontiguousarray(children.T).view(f"V{5 * children.itemsize}")[:, 0]
+        _, first, column = np.unique(bits, return_index=True, return_inverse=True)
+        table = children[:, first]
+        child = np.empty(taken.size, dtype=np.intp)
+        child[built] = column
+        state = child[pair]
+        c = np.maximum(lambda_branch_max(table[:4].T, table[4]), 0.0)[state]
         means[k] = c.mean()
-        ses[k] = c.std(ddof=1) / math.sqrt(n_runs)
+        if n_runs > 1:
+            ses[k] = c.std(ddof=1) / math.sqrt(n_runs)
     return means, ses

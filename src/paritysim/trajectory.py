@@ -557,17 +557,22 @@ class TrajectoryRecord:
                                 self.integrated_output, self.lam, self.concurrence])
         header = (
             "t,rho_11,rho_22,rho_33,rho_44,re_rho_23,im_rho_23,"
-            "re_rho_14,im_rho_14,current,integrated_output,lambda,concurrence\n"
+            "re_rho_14,im_rho_14,current,integrated_output,lambda,concurrence"
         )
-        # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, formatted
-        # from Python floats one block of rows at a time: a whole long record
-        # as lists and strings would cost several MB
-        row = ",".join(["%.17g", *fmt, *["%.17g"] * 4]) + "\n"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header)
-            for at in range(0, len(cols), _CSV_BLOCK):
-                block = cols[at : at + _CSV_BLOCK].tolist()
-                fh.write("".join(row % tuple(r) for r in block))
+        _write_csv(path, header, cols, ["%.17g", *fmt, *["%.17g"] * 4])
+
+
+def _write_csv(path, header: str, cols: np.ndarray, fmt: list[str]) -> None:
+    """Write (n, m) cols as CSV under header, each line the fields fmt joined
+    by commas (a field with no % is a literal): np.savetxt's bytes, "%d" % 1.0
+    included, formatted one block of rows at a time, since a whole long
+    table as lists and strings would cost several MB."""
+    row = ",".join(fmt) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for at in range(0, len(cols), _CSV_BLOCK):
+            block = cols[at : at + _CSV_BLOCK].tolist()
+            fh.write("".join(row % tuple(r) for r in block))
 
 
 def _class_matrices(rows: np.ndarray) -> np.ndarray:

@@ -197,6 +197,22 @@ def test_projective_with_runs_writes_comparison(tmp_path):
     assert np.all(np.abs(rows[:, 3] - rows[:, 2]) <= 5.0 * rows[:, 4] + 1e-12)
 
 
+def test_projective_one_run_writes_nan_error_silently(tmp_path):
+    """One run has no standard error: mc_se reads nan, and nothing (no
+    numpy warning) reaches stderr."""
+    out = tmp_path / "one"
+    proc = subprocess.run(
+        [sys.executable, "-m", "paritysim", "projective", "--k", "2", "--n-max", "3",
+         "--runs", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = (out / "mc_comparison.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "mc_se"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["nan"] * 3
+
+
 def test_projective_zero_angle_curve_is_flat(tmp_path):
     out = tmp_path / "p0"
     rc = main(["projective", "--delta-angle", "0", "--n-max", "5", "--out", str(out)])

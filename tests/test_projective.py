@@ -275,15 +275,38 @@ def _reference_chain(delta, n_steps, n_runs, seed):
     return means, ses
 
 
+def _assert_matches_reference(delta, n_steps, n_runs, seed):
+    got = monte_carlo_average(delta, n_steps, n_runs, seed=seed)
+    ref = _reference_chain(delta, n_steps, n_runs, seed)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b), (n_runs, seed)
+        assert np.array_equal(np.signbit(a), np.signbit(b)), (n_runs, seed)
+
+
 @pytest.mark.parametrize("delta", [0.0, math.pi / 30, 0.5, math.pi / 2])
 def test_monte_carlo_matches_per_step_reference(delta):
     for n_runs in (2, 3, 257, 2000):
         for seed in (0, 90):
-            got = monte_carlo_average(delta, 30, n_runs, seed=seed)
-            ref = _reference_chain(delta, 30, n_runs, seed)
-            for a, b in zip(got, ref):
-                assert np.array_equal(a, b), (n_runs, seed)
-                assert np.array_equal(np.signbit(a), np.signbit(b)), (n_runs, seed)
+            _assert_matches_reference(delta, 30, n_runs, seed)
+
+
+@pytest.mark.parametrize(
+    "delta, n_steps, n_runs",
+    [(math.pi / 30, 50, 20000), (0.05, 200, 2000)],
+    ids=["criterion-6", "small-angle"],
+)
+def test_monte_carlo_matches_per_step_reference_on_long_chains(delta, n_steps, n_runs):
+    """Criterion 6's chain, and a long small-angle one whose table of
+    distinct states grows past a hundred columns."""
+    _assert_matches_reference(delta, n_steps, n_runs, seed=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, math.pi / 2])
+def test_monte_carlo_projects_only_taken_branches(delta):
+    # At both angles the table holds states whose other branch has weight
+    # exactly 0; projecting it would divide 0 by 0.
+    with np.errstate(divide="raise", invalid="raise"):
+        monte_carlo_average(delta, 50, 2000, seed=0)
 
 
 def test_monte_carlo_deterministic():

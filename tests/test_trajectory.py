@@ -28,7 +28,7 @@ from paritysim.qstate import (
     preset_state,
     state_to_json,
 )
-from paritysim.trajectory import _EVENT_BLOCK, SimConfig, simulate
+from paritysim.trajectory import _CSV_BLOCK, _EVENT_BLOCK, SimConfig, _write_csv, simulate
 
 
 def bell_diag(p1, p2, p3, p4):
@@ -842,6 +842,20 @@ def test_csv_bytes_match_savetxt(tmp_path):
         rec.to_csv(tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert np.all(np.isnan(rec.lam))
+
+
+def test_write_csv_matches_savetxt(tmp_path):
+    """The shared table writer gives np.savetxt's bytes for a %d step column
+    and %.17g floats across block boundaries, special values included."""
+    rng = np.random.default_rng(5)
+    n = 2 * _CSV_BLOCK + 3
+    cols = np.column_stack([np.arange(1, n + 1), rng.standard_normal((n, 3))])
+    cols[[0, 1, 2, 3, -1], 3] = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
+    fmt = ["%d"] + ["%.17g"] * 3
+    np.savetxt(tmp_path / "ref.csv", cols, fmt=fmt, delimiter=",", header="step,a,b,c",
+               comments="")
+    _write_csv(tmp_path / "new.csv", "step,a,b,c", cols, fmt)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_class_record_holds_five_rows():

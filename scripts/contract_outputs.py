@@ -68,6 +68,7 @@ PROJECTIVES = [
     "--delta-angle 0 --runs 300",
     "--delta-angle 0.05 --n-max 400 --runs 3000",
     "--k 2 --n-max 5 --runs 1",
+    "--k 30 --n-max 50 --runs 100000",
 ]
 
 

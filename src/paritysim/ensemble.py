@@ -413,10 +413,8 @@ class GenesisHistogram:
     n_never: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("bin_start,bin_end,count\n")
-            for a, b, c in zip(self.edges[:-1], self.edges[1:], self.counts):
-                fh.write(f"{a:.17g},{b:.17g},{c}\n")
+        cols = np.column_stack([self.edges[:-1], self.edges[1:], self.counts])
+        _write_csv(path, "bin_start,bin_end,count", cols, ["%.17g", "%.17g", "%d"])
 
 
 def genesis_histogram(stats: EnsembleStats, bin_width: float) -> GenesisHistogram:

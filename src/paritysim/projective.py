@@ -5,8 +5,9 @@ projective parity measurement. The chain never leaves the closed class, so
 its states are (5, n) class rows p1, p2, p3, p4, y = Im rho_23, the layout
 the ensemble kernel steps, updated in place, and concurrence along them
 comes from the closed-class branch values; the Monte Carlo keeps one
-column per distinct state, not per run. The closed-form step average
-1 - cos^(2(n-1)) delta acts as the oracle for the Monte Carlo.
+column per distinct state and a count of the runs in it, not a column or
+an index per run. The closed-form step average 1 - cos^(2(n-1)) delta
+acts as the oracle for the Monte Carlo.
 delta_angle is the literal rotation angle of the block (the u2 amplitude
 picks up cos delta), which is the angle the closed forms are expressed in.
 """
@@ -22,7 +23,6 @@ from .concurrence import lambda_branch_max
 __all__ = [
     "rotation",
     "rotate_class",
-    "pulse_class",
     "average_concurrence",
     "zeno_comparison_curve",
     "monte_carlo_average",
@@ -46,8 +46,8 @@ def rotate_class(s: np.ndarray, delta_angle: float) -> None:
     The u2-u3 block is h + d sigma_z - y sigma_y with h, d the half sum and
     half difference of p2, p3; the rotation turns (d, y) by twice the
     angle and leaves h, p1 and p4 alone. The float operations and their
-    order are pinned bit for bit by a transcribed reference chain
-    (test_monte_carlo_matches_per_step_reference).
+    order are pinned bit for bit by a transcribed per-run chain
+    (test_monte_carlo_matches_grouped_reference).
     """
     c, sn = math.cos(2.0 * delta_angle), math.sin(2.0 * delta_angle)
     h = 0.5 * (s[1] + s[2])
@@ -68,20 +68,6 @@ def _project(s: np.ndarray, p_even: np.ndarray, even: np.ndarray) -> None:
     s[2:4] *= ~even
     s[:4] /= np.where(even, p_even, 1.0 - p_even)
     s[4] = 0.0
-
-
-def pulse_class(s: np.ndarray, delta_angle: float, u: np.ndarray) -> np.ndarray:
-    """One chain step, in place on (5, n) class rows s: rotate by
-    delta_angle, then measure parity. Returns the even mask.
-
-    Lane i comes out even where u[i] < p_even, its Born probability after
-    the rotation, so uniforms in [0, 1) never pick a zero-weight branch.
-    """
-    rotate_class(s, delta_angle)
-    p_even = s[0] + s[1]
-    even = u < p_even
-    _project(s, p_even, even)
-    return even
 
 
 def average_concurrence(n: int, delta_angle: float) -> float:
@@ -109,52 +95,51 @@ def monte_carlo_average(
     n_runs: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ensemble of projective chains from the fully mixed state.
+    """Ensemble of projective chains from the fully mixed state.
 
     Returns (mean concurrence, standard error) per step, shape (n_steps,);
-    the standard error is nan for one run. Deterministic in seed; all runs
-    advance in lockstep on one stream, one row of uniforms per step.
+    the standard error is nan for one run. Deterministic in seed, on one
+    stream with one binomial call per step.
 
     Runs that share a state bit for bit share its arithmetic, and all start
     mixed while every outcome collapses onto one parity block. So the chain
     steps a (5, U) table of distinct states, U a few dozen for 10^4 runs,
-    each run holding an np.intp column index. A step rotates the table,
-    sends run i even where u[i] < p_even of its column, projects only the
-    (column, branch) pairs some run took (no zero-weight branch is divided
-    by its weight) and keeps one column per bit pattern, so -0.0 and 0.0
-    stay apart. Each run's floats are those of a column of its own, and
-    its concurrence is gathered into run order before mean and std: the
-    outputs are bit for bit those of one column per run.
+    with an int64 count of runs per column. Runs in one column are
+    exchangeable: in a chain of one uniform per run, read even where
+    u < p_even, the runs of column j that go even number
+    Binomial(n_j, p_even_j), independently across columns, and mean and
+    standard deviation over runs depend on the counts alone. So a step
+    draws that binomial per column, p_even clamped to [0, 1] with nan read
+    as 0, as u < p_even reads it; projects only the (column, branch) pairs
+    with runs (no zero-weight branch is divided by its weight); keeps one
+    column per bit pattern, so -0.0 and 0.0 stay apart, and sums the
+    counts that merge. Nothing has the length n_runs, so the cost grows
+    with U, not with the runs.
     """
     if n_steps < 1 or n_runs < 1:
         raise ValueError("n_steps and n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     table = np.full((5, 1), 0.25)
     table[4] = 0.0
-    state = np.zeros(n_runs, dtype=np.intp)
-    u = np.empty(n_runs)
+    counts = np.array([n_runs], dtype=np.int64)
     means = np.empty(n_steps)
     ses = np.full(n_steps, math.nan)
     for k in range(n_steps):
-        rng.random(out=u)
         rotate_class(table, delta_angle)
         p_even = table[0] + table[1]
-        # run i takes pair 2 j + b: its column j's child on branch b, 1 odd
-        pair = 2 * state
-        pair += ~(u < p_even[state])
-        taken = np.zeros(2 * table.shape[1], dtype=bool)
-        taken[pair] = True
-        built = np.flatnonzero(taken)
+        n_even = rng.binomial(counts, np.fmin(np.fmax(p_even, 0.0), 1.0))
+        # pair 2 j + b holds the runs of column j's child on branch b, 1 odd
+        runs = np.column_stack([n_even, counts - n_even]).ravel()
+        built = np.flatnonzero(runs)
         children = table[:, built >> 1]
         _project(children, p_even[built >> 1], built % 2 == 0)
         bits = np.ascontiguousarray(children.T).view(f"V{5 * children.itemsize}")[:, 0]
         _, first, column = np.unique(bits, return_index=True, return_inverse=True)
         table = children[:, first]
-        child = np.empty(taken.size, dtype=np.intp)
-        child[built] = column
-        state = child[pair]
-        c = np.maximum(lambda_branch_max(table[:4].T, table[4]), 0.0)[state]
-        means[k] = c.mean()
+        counts = np.zeros(first.size, dtype=np.int64)
+        np.add.at(counts, column, runs[built])
+        c = np.maximum(lambda_branch_max(table[:4].T, table[4]), 0.0)
+        means[k] = (counts @ c) / n_runs
         if n_runs > 1:
-            ses[k] = c.std(ddof=1) / math.sqrt(n_runs)
+            ses[k] = math.sqrt((counts @ (c - means[k]) ** 2) / (n_runs - 1)) / math.sqrt(n_runs)
     return means, ses

@@ -437,6 +437,21 @@ def test_histogram_counts_partition_crossers():
     assert hist.counts[0] == 1 and hist.counts[1] == 2 and hist.counts[5] == 1
 
 
+def test_histogram_csv_bytes(tmp_path):
+    """to_csv writes through the shared table writer with the bytes of the
+    f-string writer it replaced, over three blocks of rows."""
+    rng = np.random.default_rng(8)
+    stats = make_stats(list(rng.uniform(0.0, 130.0, 5000)) + [0.0, 0.1, 0.3], 5010)
+    hist = genesis_histogram(stats, 0.1)
+    assert hist.counts.size > 2 * trajectory._CSV_BLOCK
+    hist.to_csv(tmp_path / "hist.csv")
+    lines = ["bin_start,bin_end,count\n"] + [
+        f"{a:.17g},{b:.17g},{c}\n"
+        for a, b, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)
+    ]
+    assert (tmp_path / "hist.csv").read_bytes() == "".join(lines).encode("ascii")
+
+
 # ------------------------------------------------------------ validation
 
 

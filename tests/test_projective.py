@@ -2,26 +2,35 @@
 
 The post-measurement states of the first few steps have hand-computable
 closed forms; those, the step-average formula, and the absorbing property
-of an outcome flip are the oracles here. Outcomes are forced through the
-uniforms handed to pulse_class: 0.0 always reads even, the largest double
-below 1 odd wherever the odd branch has weight. Lanes are (5, n) class
-rows p1, p2, p3, p4, y, which rotate_class and pulse_class update in
-place, so a test that keeps an input or a per-step state copies it.
-Concurrences of the lanes come from the general Wootters machinery on the
-4x4 matrix.
+of an outcome flip are the oracles here. Lanes step through pulse_class,
+the one-uniform-per-lane chain step defined below, and outcomes are forced
+through its uniforms: 0.0 always reads even, the largest double below 1
+odd wherever the odd branch has weight. Lanes are (5, n) class rows p1,
+p2, p3, p4, y, which rotate_class and pulse_class update in place, so a
+test that keeps an input or a per-step state copies it. Concurrences of
+the lanes come from the general Wootters machinery on the 4x4 matrix.
+The Monte Carlo is checked bit for bit against a per-run chain that draws
+its binomials on groups of equal runs, and in law against one uniform per
+run.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from conftest import random_closed_class_bell
-from paritysim.concurrence import lambda_branch_values, wootters_concurrence
+from paritysim.concurrence import (
+    lambda_branch_max,
+    lambda_branch_values,
+    wootters_concurrence,
+)
 from paritysim.projective import (
+    _project,
     average_concurrence,
     monte_carlo_average,
-    pulse_class,
     rotate_class,
     rotation,
     zeno_comparison_curve,
@@ -52,6 +61,20 @@ def lane_matrices(s: np.ndarray) -> np.ndarray:
 
 def lane_concurrences(s: np.ndarray) -> np.ndarray:
     return np.array([wootters_concurrence(sanitize(m).state) for m in lane_matrices(s)])
+
+
+def pulse_class(s: np.ndarray, delta_angle: float, u: np.ndarray) -> np.ndarray:
+    """One chain step, in place on (5, n) class rows s: rotate by
+    delta_angle, then measure parity. Returns the even mask.
+
+    Lane i comes out even where u[i] < p_even, its Born probability after
+    the rotation, so uniforms in [0, 1) never pick a zero-weight branch.
+    """
+    rotate_class(s, delta_angle)
+    p_even = s[0] + s[1]
+    even = u < p_even
+    _project(s, p_even, even)
+    return even
 
 
 def pulse(s, delta, u):
@@ -245,10 +268,10 @@ def test_monte_carlo_matches_step_average(delta):
 
 
 def _reference_chain(delta, n_steps, n_runs, seed):
-    """The lane-major chain monte_carlo_average stepped before it moved to
-    class rows, transcribed operation for operation: (n, 4) populations
-    and y rotated into new arrays, projected by a float mask, branch
-    values of the (n, 4) array."""
+    """The chain of one uniform per run, the law monte_carlo_average keeps:
+    (n, 4) populations and y rotated into new arrays, run i even where
+    u[i] < p_even, projected by a float mask, branch values of the (n, 4)
+    array, np.mean and np.std over the runs."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     c2, s2 = math.cos(2.0 * delta), math.sin(2.0 * delta)
     p = np.full((n_runs, 4), 0.25)
@@ -275,19 +298,69 @@ def _reference_chain(delta, n_steps, n_runs, seed):
     return means, ses
 
 
-def _assert_matches_reference(delta, n_steps, n_runs, seed):
+def _groups(p, y):
+    """Runs grouped by the exact bits of their five class numbers, in the
+    order np.unique sorts the bits: (first run, group of each run, count)."""
+    rows = np.column_stack([p, y])
+    bits = rows.view(f"V{5 * rows.itemsize}")[:, 0]
+    _, first, group, counts = np.unique(
+        bits, return_index=True, return_inverse=True, return_counts=True)
+    return first, group, counts
+
+
+def _grouped_reference_chain(delta, n_steps, n_runs, seed):
+    """_reference_chain's one row per run, with its uniforms replaced by
+    the count chain's draw: each step groups the runs by their exact bits,
+    draws rng.binomial on the group counts with p_even clamped as
+    monte_carlo_average clamps it, and sends the first n_even runs of each
+    group, in run order, even. Returns (means, ses) reduced over the
+    post-projection groups with monte_carlo_average's formulas, and
+    (means, ses) of np.mean and np.std over the per-run values."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    c2, s2 = math.cos(2.0 * delta), math.sin(2.0 * delta)
+    p = np.full((n_runs, 4), 0.25)
+    y = np.zeros(n_runs)
+    out = np.empty((4, n_steps))
+    for k in range(n_steps):
+        first, group, counts = _groups(p, y)
+        h = 0.5 * (p[:, 1] + p[:, 2])
+        d = 0.5 * (p[:, 1] - p[:, 2])
+        d_new = c2 * d - s2 * y
+        p = p.copy()
+        p[:, 1] = h + d_new
+        p[:, 2] = h - d_new
+        y = c2 * y + s2 * d
+        p_even = p[:, 0] + p[:, 1]
+        n_even = rng.binomial(counts, np.fmin(np.fmax(p_even[first], 0.0), 1.0))
+        order = np.argsort(group, kind="stable")  # by group, in run order within each
+        even = np.empty(n_runs, dtype=bool)
+        even[order] = np.arange(n_runs) < np.repeat(np.cumsum(counts) - counts + n_even, counts)
+        mask = np.where(even[:, None], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0])
+        norm = np.where(even, p_even, 1.0 - p_even)
+        p, y = p * mask / norm[:, None], np.zeros_like(y)
+        c = np.maximum(lambda_branch_max(p, y), 0.0)
+        first, _, counts = _groups(p, y)
+        out[0, k] = mean = (counts @ c[first]) / n_runs
+        out[1, k] = math.sqrt((counts @ (c[first] - mean) ** 2) / (n_runs - 1)) / math.sqrt(n_runs)
+        out[2, k] = c.mean()
+        out[3, k] = c.std(ddof=1) / math.sqrt(n_runs)
+    return out
+
+
+def _assert_matches_grouped_reference(delta, n_steps, n_runs, seed):
     got = monte_carlo_average(delta, n_steps, n_runs, seed=seed)
-    ref = _reference_chain(delta, n_steps, n_runs, seed)
-    for a, b in zip(got, ref):
+    ref = _grouped_reference_chain(delta, n_steps, n_runs, seed)
+    for a, b, per_run in zip(got, ref[:2], ref[2:]):
         assert np.array_equal(a, b), (n_runs, seed)
         assert np.array_equal(np.signbit(a), np.signbit(b)), (n_runs, seed)
+        assert np.allclose(a, per_run, rtol=1e-14, atol=0.0), (n_runs, seed)
 
 
 @pytest.mark.parametrize("delta", [0.0, math.pi / 30, 0.5, math.pi / 2])
-def test_monte_carlo_matches_per_step_reference(delta):
+def test_monte_carlo_matches_grouped_reference(delta):
     for n_runs in (2, 3, 257, 2000):
         for seed in (0, 90):
-            _assert_matches_reference(delta, 30, n_runs, seed)
+            _assert_matches_grouped_reference(delta, 30, n_runs, seed)
 
 
 @pytest.mark.parametrize(
@@ -295,10 +368,47 @@ def test_monte_carlo_matches_per_step_reference(delta):
     [(math.pi / 30, 50, 20000), (0.05, 200, 2000)],
     ids=["criterion-6", "small-angle"],
 )
-def test_monte_carlo_matches_per_step_reference_on_long_chains(delta, n_steps, n_runs):
+def test_monte_carlo_matches_grouped_reference_on_long_chains(delta, n_steps, n_runs):
     """Criterion 6's chain, and a long small-angle one whose table of
     distinct states grows past a hundred columns."""
-    _assert_matches_reference(delta, n_steps, n_runs, seed=0)
+    _assert_matches_grouped_reference(delta, n_steps, n_runs, seed=0)
+
+
+def test_monte_carlo_has_the_law_of_one_uniform_per_run():
+    """Binomial counts per state against _reference_chain's uniform per
+    run: 4 runs at delta = 0.6, the step 2 to 4 means of 2,000 seeds each
+    (disjoint between the chains) in a chi-square two-sample test. Means
+    are rounded to 12 digits, since the two reductions differ in the last
+    bits, and categories under 5 expected per chain are pooled."""
+    n_seeds, n_steps, n_runs, delta = 2000, 4, 4, 0.6
+    got = np.array([monte_carlo_average(delta, n_steps, n_runs, seed=i)[0]
+                    for i in range(n_seeds)])
+    ref = np.array([_reference_chain(delta, n_steps, n_runs, seed=n_seeds + i)[0]
+                    for i in range(n_seeds)])
+    for k in range(1, n_steps):
+        values, codes = np.unique(np.round(np.r_[got[:, k], ref[:, k]], 12),
+                                  return_inverse=True)
+        table = np.array([np.bincount(codes[:n_seeds], minlength=values.size),
+                          np.bincount(codes[n_seeds:], minlength=values.size)])
+        rare = table.sum(axis=0) < 10
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] >= 3, k
+        p = chi2_contingency(table).pvalue
+        assert p > 1e-3, (k + 1, p, table)
+
+
+def test_monte_carlo_cost_does_not_grow_with_runs():
+    """10^12 runs: the draw is one binomial per state, so the chain takes
+    what 10^4 runs take and matches the closed form at its own error."""
+    delta, n_steps = math.pi / 30, 50
+    start = time.perf_counter()
+    means, ses = monte_carlo_average(delta, n_steps, 10**12, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert means[0] == 0.0
+    for n in range(1, n_steps + 1):
+        target = average_concurrence(n, delta)
+        assert abs(means[n - 1] - target) <= 5.0 * ses[n - 1], (n, means[n - 1], target)
 
 
 @pytest.mark.parametrize("delta", [0.0, math.pi / 2])
@@ -315,6 +425,13 @@ def test_monte_carlo_deterministic():
     c = monte_carlo_average(0.2, 10, 500, seed=5)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert not np.array_equal(a[0], c[0])
+
+
+def test_monte_carlo_draws_on_a_nan_weight():
+    """A nan angle makes every weight nan. The draw reads it as u < p_even
+    does, as no run even, so the chain returns nan and does not raise."""
+    means, ses = monte_carlo_average(math.nan, 3, 10, seed=0)
+    assert np.isnan(means).all() and np.isnan(ses).all()
 
 
 def test_monte_carlo_zero_angle_never_entangles():

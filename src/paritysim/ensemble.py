@@ -151,10 +151,11 @@ class EnsembleStats:
         _write_csv(path, header, cols, ["%.17g"] * 5)
 
     def write_events_csv(self, path) -> None:
+        kinds = tuple(kind.value for kind in _KINDS)
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("run,step,time,kind\n")
             for run, step, time, kind in self.event_table.tolist():
-                fh.write(f"{run},{step},{time:.17g},{_KINDS[kind].value}\n")
+                fh.write(f"{run},{step},{time:.17g},{kinds[kind]}\n")
 
     def stats_dict(self) -> dict:
         crossed = self.crossed_times

@@ -382,7 +382,8 @@ def bridge_step(g0, g1, thr: float, side: float, dt, u):
     uniform u decides it, and the time is put mid-step. A walk that is not
     crossed and ends ESCAPE beyond the surviving side retires as never
     crossing. Elementwise over broadcastable arrays, so the same rule
-    serves one step of many walks or many steps of many walks.
+    serves one step of many walks or many steps of many walks; the masked
+    exp always broadcasts, and a per-row dt keeps the cutoff product small.
 
     The exponential is evaluated only where it can be nonzero: once
     a b >= 746 D dt it underflows to exactly 0 (below exp(-745.14)), and
@@ -464,12 +465,13 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
 
     c = +-inf gives the constant drift +-1 exactly, since numpy's
     tanh(+-inf) is +-1. Open walks are stepped a block of steps at a time
-    with g recorded at every step: each step is five in-place ufunc calls
-    that write g[i + 1] = g[i] + (tanh(g[i] + c) + xi) * dt. bridge_step
-    then decides the whole block at once. Each walk's first retiring step
-    fixes its time, and hit_fraction is evaluated on those steps alone;
-    steps taken after it within the block are discarded, and the open
-    walks are compacted.
+    with g recorded at every step: each step is five ufunc calls that write
+    g[i + 1] = g[i] + (tanh(g[i] + c) + xi) * dt in place, bound to locals
+    with positional outputs, since on a few hundred lanes numpy's per-call
+    overhead outweighs the arithmetic. bridge_step then decides the whole
+    block at once. Each walk's first retiring step fixes its time, and
+    hit_fraction is evaluated on those steps alone; steps taken after it
+    within the block are discarded, and the open walks are compacted.
 
     draw(k0, k1, alive) supplies the standard normals xi and the bridge
     uniforms of steps [k0, k1) for the open walks, as two
@@ -487,6 +489,10 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
     gam = np.zeros(c.size)
     alive = np.arange(c.size)
     times = np.full(c.size, np.nan)
+    add, tanh, multiply = np.add, np.tanh, np.multiply
+    # a Python-float dt, or a (1,) row that numpy must broadcast, costs more
+    # per call than a stride-0 row; blocks slice these rows, not rebuild them
+    dt_lanes = np.broadcast_to(dts[:, None], (n_steps, c.size))
     k0 = 0
     while k0 < n_steps and alive.size:
         # short first blocks, so that the many walks retiring within the
@@ -496,15 +502,12 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
         xi *= noise_scale[k0:k1, None]
         g = np.empty((k1 - k0 + 1, alive.size))
         g[0] = gam
-        # a stride-0 row of dt per step: a Python-float operand would cost
-        # numpy more per call than the arithmetic on a few hundred lanes
-        dt_rows = np.broadcast_to(dts[k0:k1, None], xi.shape)
-        for g_i, g_next, xi_i, dt_i in zip(g[:-1], g[1:], xi, dt_rows):
-            np.add(g_i, c, out=g_next)
-            np.tanh(g_next, out=g_next)
-            np.add(g_next, xi_i, out=g_next)
-            np.multiply(g_next, dt_i, out=g_next)
-            np.add(g_i, g_next, out=g_next)
+        for g_i, g_next, xi_i, dt_i in zip(g[:-1], g[1:], xi, dt_lanes[k0:k1, :alive.size]):
+            add(g_i, c, g_next)
+            tanh(g_next, g_next)
+            add(g_next, xi_i, g_next)
+            multiply(g_next, dt_i, g_next)
+            add(g_i, g_next, g_next)
         crossed, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
         done = retire.any(axis=0)
         lanes = np.nonzero(done)[0]

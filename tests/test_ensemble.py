@@ -681,9 +681,14 @@ def test_stats_writers(tmp_path):
     assert float(first[1]) == -0.5
 
     ev_rows = ev.read_text().strip().split("\n")
-    assert ev_rows[0] == "run,step,time,kind"
     n_events = sum(len(r) for r in stats.events)
     assert len(ev_rows) == n_events + 1
+    ref = "run,step,time,kind\n" + "".join(
+        f"{run},{e.step},{e.time:.17g},{e.kind.value}\n"
+        for run, evs in enumerate(stats.events)
+        for e in evs
+    )
+    assert ev.read_bytes() == ref.encode("ascii")
 
     import json
 

@@ -609,8 +609,9 @@ def test_bridge_step_at_the_exp_cutoff():
     """bridge_step against the full expression where exp(-a b / (D dt))
     runs from 1 through the subnormal band to exactly 0 (exponent 0 to
     -800, densely around -708.4 and -745.13): both sides, scalar and
-    per-row dt, 0-d inputs, and uniforms down to 0 and 5e-324. A subnormal
-    probability still crosses at u = 0; an exact 0 never does."""
+    per-row dt, dt as a stride-0 view at the full block shape, 0-d inputs,
+    and uniforms down to 0 and 5e-324. A subnormal probability still
+    crosses at u = 0; an exact 0 never does."""
     edge = 745.1332191019411
     x = np.concatenate([
         np.linspace(0.0, 800.0, 1601),
@@ -621,7 +622,8 @@ def test_bridge_step_at_the_exp_cutoff():
     thr = 0.3
     seen_subnormal = seen_zero = False
     for side in (1.0, -1.0):
-        for dt in (1e-3, np.array([[1e-3], [0.02], [0.5]])):
+        dt_rows = np.array([[1e-3], [0.02], [0.5]])
+        for dt in (1e-3, dt_rows, np.broadcast_to(dt_rows, (3, x.size))):
             g1 = thr - side * x * fpt.DIFFUSION * dt
             g0 = np.full(g1.shape, thr - side)
             prob = np.exp(-((g0 - thr) * (g1 - thr)) / (fpt.DIFFUSION * dt))

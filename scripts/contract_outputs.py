@@ -61,6 +61,8 @@ ENSEMBLES = [
     "--k 30 --duration 1 --runs 300 --record-stride 7",
     "--k 1 --runs 257 --state sigma-boundary",
     "--k 1 --runs 10 --state rho13.json",
+    "--k 0.3 --duration 3 --runs 64 --state bell-u2",
+    "--k 1 --duration 2 --runs 300 --dt 0.01",
 ]
 PROJECTIVES = [
     "--k 30 --runs 2000",

@@ -35,8 +35,7 @@ from .trajectory import (
     _CHUNK,
     SimConfig,
     _class_rows,
-    _class_stepper,
-    _per_step,
+    _rows_stepper,
     _record_steps,
     _step_blocks,
     _write_csv,
@@ -194,9 +193,9 @@ class EnsembleStats:
 def _ensemble_chunk(args) -> dict:
     """Runs [lo, hi): the batched mirror of trajectory.simulate.
 
-    The lanes are (5, n) class rows stepped by _class_stepper: the class
-    step that simulate runs on one lane's Python floats, run here on rows,
-    so the two agree bit for bit. They go through simulate's stepping loop
+    The lanes are (5, n) class rows on one _rows_stepper built for the
+    chunk: the float operations of simulate's one-lane class step, on rows
+    (pinned bit for bit by tests). They go through simulate's stepping loop
     trajectory._step_blocks, on the chunk's one noise stream drawn
     step-major across its runs: a run's draws depend on the width of its
     chunk, so a partial last chunk draws differently from a full one.
@@ -214,7 +213,7 @@ def _ensemble_chunk(args) -> dict:
     n, dt = hi - lo, cfg.dt
     rec_at = _record_steps(cfg)
     rows = _class_rows(p0, y0, n)
-    advance = _per_step(_class_stepper(cfg, clip_floor(cfg)))
+    advance = _rows_stepper(cfg, clip_floor(cfg), n)
     lam_rec = np.empty((n, rec_at.size))
     rise = np.full(n, np.nan)
     crossings = []
@@ -370,8 +369,8 @@ def coupled_step_bias(
     path: at cfg.dt / 2 on standard normals z, and at cfg.dt on
     (z[2k] + z[2k + 1]) / sqrt(2), the same increment over the coarse step
     (Kloeden & Platen, Numerical Solution of SDEs, 1992). Both step the
-    chunk's (5, n) class rows with _class_stepper through _step_blocks, the
-    class step an ensemble runs. Returns the mean over runs of
+    chunk's (5, n) class rows on a _rows_stepper through _step_blocks, the
+    kernel an ensemble chunk runs. Returns the mean over runs of
     max(Lambda, 0) at the end at dt minus that at dt / 2, and the standard
     error of that mean; a step whose error at dt is below the Monte Carlo
     error reads within a few standard errors of 0. Runs come in _CHUNK-run
@@ -395,7 +394,7 @@ def coupled_step_bias(
         ends = []
         for c, draw in ((cfg, coarse), (fine, lambda k0, k1: z[k0:k1])):
             rows = _class_rows(p0, y0, hi - lo)
-            advance = _per_step(_class_stepper(c, clip_floor(c)))
+            advance = _rows_stepper(c, clip_floor(c), hi - lo)
             for _, blk, _, _ in _step_blocks(c, lo, hi, rows, advance, draw):
                 pass
             ends.append(np.maximum(lambda_branch_max(blk[-1, :4].T, blk[-1, 4]), 0.0))

@@ -28,24 +28,22 @@ closed form on the exact spectrum; the (n, 4, 4) kernel step_batch, with
 the eigh projection clip_negative_eigenvalues, serves states off the class.
 
 The class step is written once, as _class_step on the five values p1,
-p2, p3, p4, y and the scaled draw. It uses only +, - and *, so the same
-source runs on Python floats for a single trajectory (_lane_stepper) and
-on (n,) rows for n lanes held as one (5, n) array (_class_stepper), and
-the two agree bit for bit. Both renormalize with the same divisions. The
-rows repair through _class_repair, the closed-form projection on (5, n)
-rows; a lane its prefilter cannot clear goes to _lane_repair, the same
-projection transcribed onto the five floats, which makes the float
-operations _class_repair makes on that lane (tested).
+p2, p3, p4, y and the scaled draw, with only +, - and *. It runs on
+Python floats for a single trajectory (_lane_stepper), which repairs a
+lane its prefilter cannot clear with _lane_repair, the closed-form
+projection on the five floats. n lanes held as one (5, n) array step on
+_rows_stepper, the same float operations transcribed onto scratch rows
+for numpy's per-call cost, with the division and _rows_repair, the
+projection on rows, in place; tests pin every rows lane to the floats.
 
 One loop, _step_blocks, steps every state: it draws the noise of a chunk
 of up to _CHUNK runs from one stream a block at a time, hands each block
 of up to _EVENT_BLOCK steps to the caller's block stepper and yields the
-block. Array states (ensemble rows and the (n, 4, 4) path) share one
-per-step loop, _per_step, that stores every step's state; the one-lane
-stepper runs its own loop on the floats, reading a block's draws with one
-tolist() and storing its states with one write. simulate records from the
-blocks, a class run as (n, 5) rows whose (n, 4, 4) states TrajectoryRecord
-builds on demand, and the ensemble chunks reduce them to branch values and
+block: _rows_stepper for class rows, _per_step for (n, 4, 4) states, and
+_lane_stepper, whose loop reads a block's draws with one tolist() and
+stores its states with one write. simulate records from the blocks, a
+class run as (n, 5) rows whose (n, 4, 4) states TrajectoryRecord builds
+on demand, and the ensemble chunks reduce them to branch values and
 border events.
 """
 
@@ -303,54 +301,15 @@ def _class_step(p1, p2, p3, p4, y, a, coef):
     return p1, p2, p3, p4, y, ((p1 + p2) + p3) + p4
 
 
-def _class_repair(s: np.ndarray, floor: float) -> tuple[float, int]:
-    """Closed-form positivity projection of (5, n) class rows s, in place.
-
-    The spectrum of a class state is p1, p4 and l+- = h +- r, with
-    h = (p2 + p3)/2 and r = hypot((p2 - p3)/2, y). Lanes whose smallest
-    of p1, p4 and l- is below -_CLASS_SLACK get every negative eigenvalue
-    clipped to zero, keeping the eigenvectors, and are renormalized: the
-    projection clip_negative_eigenvalues makes with eigh. Other lanes
-    stay unchanged. An eigenvalue below -floor raises DivergenceError.
-    Returns (clipped magnitude, lanes clipped). Every operation is lane by
-    lane, so a lane's result does not depend on the other lanes.
-    """
-    p1, p2, p3, p4, y = s
-    h, d = (p2 + p3) * 0.5, (p2 - p3) * 0.5
-    r = np.hypot(d, y)
-    spec = np.array([p1, h + r, h - r, p4])
-    low = np.minimum(np.minimum(p1, p4), spec[2])
-    worst = float(low.min())
-    if worst >= -_CLASS_SLACK:
-        return 0.0, 0
-    if worst < -floor:
-        raise _below_floor(worst, floor)
-    flag = low < -_CLASS_SLACK
-    kept = np.maximum(spec, 0.0)
-    c1, cp, cm, c4 = kept - spec
-    total = float(((c1 + c4) + (cp + cm))[flag].sum())
-    k1, kp, km, k4 = kept
-    # the u2-u3 block keeps its eigenvectors: its Bloch part (d, y) scales
-    # by (l+ - l-) / (2 r). r = 0 only where the two eigenvalues coincide,
-    # and there the scale is 0: l+ - l- is exactly 0, and the smallest
-    # subnormal stands in for 2 r, which is never below it
-    scale = (kp - km) / np.maximum(r * 2.0, _TINY)
-    hc, dc = (kp + km) * 0.5, scale * d
-    new = np.array([k1, hc + dc, hc - dc, k4, scale * y])
-    new /= (k1 + k4) + (kp + km)
-    np.copyto(s, new, where=flag)
-    return total, int(np.count_nonzero(flag))
-
-
 def _lane_repair(p1, p2, p3, p4, y, floor: float):
-    """_class_repair on one finite lane held as five Python floats.
+    """_rows_repair on one finite lane held as five Python floats.
 
     A transcription, not a second projection: it makes the float
-    operations _class_repair makes on that lane as a (5, 1) row, in the
+    operations _rows_repair makes on that lane as a (5, 1) row, in the
     same order, with the same np.hypot (math.hypot can differ in the last
     bit), and raises the same DivergenceError. np.maximum(v, 0.0) gives
     0.0 for v = -0.0, hence v if v > 0.0 else 0.0. Returns (lane, clipped
-    magnitude, lanes clipped); a property test pins it to _class_repair,
+    magnitude, lanes clipped); a property test pins it to _rows_repair,
     so the two change together.
     """
     h, d = (p2 + p3) * 0.5, (p2 - p3) * 0.5
@@ -382,59 +341,124 @@ def _class_rows(p, y, n: int) -> np.ndarray:
     return s
 
 
-def _class_stepper(cfg: SimConfig, floor: float):
-    """One integrator step of (5, n) class rows s: _class_step on the
-    scaled draws, the trace check and renormalization, _class_repair.
-    Returns advance(s, xi) -> (s, sum of |tr - 1|, clipped magnitude,
-    lanes clipped), which _per_step runs over a block."""
-    per_xi = cfg.dt / cfg.s0
-    coef = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+def _rows_repair(floor: float, n: int):
+    """_lane_repair's closed-form projection on (5, n) class rows, in place,
+    on scratch rows built once: repair(s) -> (clipped magnitude, lanes
+    clipped). A class state's spectrum is p1, p4 and h +- r, h = (p2 + p3)/2,
+    r = hypot((p2 - p3)/2, y); a lane whose smallest eigenvalue is below
+    -_CLASS_SLACK has the negative ones clipped to zero, eigenvectors kept,
+    and is renormalized (clip_negative_eigenvalues' projection), the others
+    stay. Below -floor raises DivergenceError. Lanes do not mix.
+    """
+    add, subtract, multiply, divide, hypot = np.add, np.subtract, np.multiply, np.divide, np.hypot
+    maximum, minimum, less, putmask = np.maximum, np.minimum, np.less, np.putmask
+    zero, half, tiny, slack = np.repeat([[0.0], [0.5], [_TINY], [-_CLASS_SLACK]], n, 1)
+    h, d, r, lm, low, lp, kp, km, c, cs, t, kpm, norm = np.empty((13, n))
+    new, mask, flag = np.empty((5, n)), np.empty((5, n), bool), np.empty(n, bool)
+    k1, n2, n3, k4, n5 = new
 
-    def advance(s, xi):
-        *rows, tr = _class_step(*s, xi * per_xi, coef)
-        dev = float(np.abs(tr - 1.0).sum())
-        # a sum within the bound clears every lane; otherwise look lane by lane
-        if not dev <= _TRACE_DRIFT:
-            _trace_deviation(tr)
-        s = np.divide(rows, tr)
-        return (s, dev, *_class_repair(s, floor))
+    def repair(s):
+        p1, p2, p3, p4, y = s
+        multiply(add(p2, p3, h), half, h)
+        subtract(h, hypot(multiply(subtract(p2, p3, d), half, d), y, r), lm)
+        worst = minimum.reduce(minimum(minimum(p1, p4, out=low), lm, out=low))
+        if worst >= -_CLASS_SLACK:
+            return 0.0, 0
+        if worst < -floor:
+            raise _below_floor(float(worst), floor)
+        less(low, slack, flag)
+        maximum(p1, zero, out=k1)
+        maximum(add(h, r, lp), zero, out=kp)
+        maximum(lm, zero, out=km)
+        maximum(p4, zero, out=k4)
+        # clipped parts (c1 + c4) + (cp + cm), each c = max(v, 0) - v
+        add(subtract(k1, p1, c), subtract(k4, p4, cs), c)
+        add(c, add(subtract(kp, lp, cs), subtract(km, lm, t), cs), c)
+        total = float(add.reduce(c[flag]))
+        # (l+ - l-) / max(2 r, subnormal) scales (d, y); 0 where l+ = l- (r = 0)
+        divide(subtract(kp, km, c), maximum(add(r, r, t), tiny, out=t), c)
+        multiply(add(kp, km, kpm), half, n2)
+        subtract(n2, multiply(c, d, d), n3)
+        add(n2, d, n2)
+        multiply(c, y, n5)
+        divide(new, add(add(k1, k4, norm), kpm, norm), new)
+        mask[:] = flag  # putmask on a full mask costs half of copyto(where=flag)
+        putmask(s, mask, new)
+        return total, int(np.count_nonzero(flag))
+
+    return repair
+
+
+def _rows_stepper(cfg: SimConfig, floor: float, n: int):
+    """The block stepper of _step_blocks for n class lanes as (5, n) rows,
+    built once per chunk with its scratch rows. Per step: _class_step's
+    float operations in order on the block's draws, scaled in one call, the
+    trace check, division into states[i + 1] and _rows_repair in place. Its
+    ufuncs are bound locals with positional outputs (out= for np.maximum
+    and np.minimum); constants are (n,) rows, cheaper than floats."""
+    per_xi = cfg.dt / cfg.s0
+    flow_c, feed_c, decay_c = _drive_coefficients(cfg.dt, cfg.s0, cfg.delta, cfg.gamma[1, 2])
+    one, neg, flow, feed, decay = np.repeat([[1.0], [-1.0], [flow_c], [feed_c], [decay_c]], n, 1)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, q, (m, t, e, o, f, u, tr) = np.absolute, np.empty((5, n)), np.empty((7, n))
+    q1, q2, q3, q4, q5 = q
+    repair = _rows_repair(floor, n)
+
+    def advance(states, xi, k0, health):
+        corrections, clip_total, n_clips = health
+        a_rows = multiply(xi[:-1], per_xi)  # per block: a held scratch raises peak RSS
+        p1, p2, p3, p4, y = states[0]
+        try:
+            for i in range(len(states) - 1):
+                a = a_rows[i]
+                subtract(add(p1, p2, m), add(p3, p4, t), m)
+                add(one, multiply(a, subtract(one, m, e), e), e)
+                add(one, multiply(a, subtract(neg, m, o), o), o)
+                subtract(subtract(one, multiply(m, a, u), u), decay, u)
+                add(multiply(y, u, u), multiply(feed, subtract(p2, p3, t), t), q5)
+                multiply(p1, e, q1)
+                subtract(multiply(p2, e, q2), multiply(flow, y, f), q2)
+                add(multiply(p3, o, q3), f, q3)
+                multiply(p4, o, q4)
+                add(add(add(q1, q2, tr), q3, tr), q4, tr)
+                dev = float(add.reduce(absolute(subtract(tr, one, t), t)))
+                if not dev <= _TRACE_DRIFT:  # a sum within the bound clears every lane
+                    _trace_deviation(tr)
+                s = states[i + 1]
+                clipped, n_c = repair(divide(q, tr, s))
+                corrections += dev
+                clip_total += clipped
+                n_clips += n_c
+                p1, p2, p3, p4, y = s
+        except DivergenceError as exc:
+            raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
+        return corrections, clip_total, n_clips
 
     return advance
 
 
-def _advance_full(
-    rho: np.ndarray, xi: np.ndarray, cfg: SimConfig, floor: float
-) -> tuple[np.ndarray, float, float, int]:
-    """One integrator step of (n, 4, 4) states off the closed class:
-    step_batch, hermitize, the trace check and renormalization, and
-    clip_negative_eigenvalues. Returns (rho, sum of |tr - 1|, clipped
-    magnitude, members clipped)."""
-    rho = hermitize(step_batch(rho, xi, cfg.dt, cfg.s0, cfg.delta, cfg.gamma))
-    tr = np.real(np.einsum("nii->n", rho))
-    dev = _trace_deviation(tr)
-    rho /= tr[:, None, None]
-    rho, clipped, n_c = clip_negative_eigenvalues(rho, floor)
-    return rho, float(dev.sum()), clipped, n_c
-
-
-def _per_step(step):
-    """The block stepper of _step_blocks for array states, (5, n) class
-    rows or (n, 4, 4) states: step(state, xi) -> (state, sum of |tr - 1|,
-    clipped magnitude, lanes clipped) once per step, on draw row xi[i],
-    writing states[i + 1]."""
+def _per_step(cfg: SimConfig, floor: float):
+    """The block stepper of _step_blocks for (n, 4, 4) states off the closed
+    class, one step per draw row xi[i] into states[i + 1]: step_batch,
+    hermitize, the trace check and renormalization, and
+    clip_negative_eigenvalues."""
 
     def advance(states, xi, k0, health):
         corrections, clip_total, n_clips = health
-        state = states[0]
-        for i in range(len(states) - 1):
-            try:
-                state, corr, clipped, n_c = step(state, xi[i])
-            except DivergenceError as exc:
-                raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
-            corrections += corr
-            clip_total += clipped
-            n_clips += n_c
-            states[i + 1] = state
+        rho = states[0]
+        try:
+            for i in range(len(states) - 1):
+                rho = hermitize(step_batch(rho, xi[i], cfg.dt, cfg.s0, cfg.delta, cfg.gamma))
+                tr = np.real(np.einsum("nii->n", rho))
+                dev = _trace_deviation(tr)
+                rho /= tr[:, None, None]
+                rho, clipped, n_c = clip_negative_eigenvalues(rho, floor)
+                corrections += float(dev.sum())
+                clip_total += clipped
+                n_clips += n_c
+                states[i + 1] = rho
+        except DivergenceError as exc:
+            raise DivergenceError(f"step {k0 + i + 1}: {exc}") from None
         return corrections, clip_total, n_clips
 
     return advance
@@ -457,7 +481,7 @@ def _lane_stepper(cfg: SimConfig, floor: float):
     """The block stepper of _step_blocks for one class lane, on five Python
     floats: it reads the lane from states[0] and the block's scaled draws
     with one tolist(), makes each step as _class_step, trace check and
-    renormalization with the float operations of _class_stepper, and
+    renormalization with the float operations of _rows_stepper, and
     stores the block's lanes with one write into states[1:]. Lanes the
     prefilter above cannot clear go to _lane_repair, which alone decides
     and makes a repair, on the floats. Only np.hypot there meets numpy: a
@@ -613,19 +637,20 @@ def _step_blocks(cfg: SimConfig, lo: int, hi: int, state, advance, draw=None):
     writes the state after step i into states[i + 1], and adds each step's
     |tr - 1| sum, clipped magnitude and lanes clipped onto the running
     totals health, step by step; a DivergenceError it raises names the
-    global step, k0 + i + 1 (_per_step for array states, _lane_stepper for
-    one lane's floats). draw(k0, k1) supplies the standard normals of steps
-    [k0, k1) for every run, one (k1 - k0, hi - lo) array, which the loop
-    scales by the noise amplitude; by default they come from the chunk's
-    one generator, SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)),
-    drawn step-major a block at a time. After each block of up to
-    _EVENT_BLOCK steps from step k0 this yields (k0, states, xi, health):
-    states[i] is the state at step k0 + i and xi[i] the draw at that step,
-    from i = 0 to the block's end, so the last xi row is the draw after the
-    block's last step; the next block carries it over into its row 0 and
-    draws the rest, so the chunk reads one unbroken stream. Both are views,
-    valid until the next block. health is the running (sum of |tr - 1|,
-    clipped magnitude, lanes clipped).
+    global step, k0 + i + 1 (_rows_stepper for class rows, _per_step for
+    (n, 4, 4) states, _lane_stepper for one lane's floats). draw(k0, k1)
+    supplies the standard normals of steps [k0, k1) for every run, one
+    (k1 - k0, hi - lo) array, which the loop scales by the noise
+    amplitude; by default they come from the chunk's one generator,
+    SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)), drawn step-major a
+    block at a time. After each block of up to _EVENT_BLOCK steps from
+    step k0 this yields (k0, states, xi, health): states[i] is the state
+    at step k0 + i and xi[i] the draw at that step, from i = 0 to the
+    block's end, so the last xi row is the draw after the block's last
+    step; the next block carries it over into its row 0 and draws the
+    rest, so the chunk reads one unbroken stream. Both are views, valid
+    until the next block. health is the running (sum of |tr - 1|, clipped
+    magnitude, lanes clipped).
     """
     n_steps = cfg.n_steps
     sigma = math.sqrt(C_NOISE * cfg.s0 / cfg.dt)
@@ -680,7 +705,7 @@ def simulate(cfg: SimConfig, initial: DensityMatrix) -> TrajectoryRecord:
         advance = _lane_stepper(cfg, floor)
     else:
         state = initial.mat[None, :, :].astype(np.complex128)
-        advance = _per_step(lambda rho, xi: _advance_full(rho, xi, cfg, floor))
+        advance = _per_step(cfg, floor)
 
     rec_at = _record_steps(cfg)
     times = rec_at * dt

@@ -1,7 +1,9 @@
 """Ensemble aggregation, event detection, and analytic validation checks."""
 
+import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +39,9 @@ from paritysim.trajectory import (
     C_NOISE,
     SimConfig,
     _class_rows,
-    _class_stepper,
     simulate,
 )
+from step_reference import class_stepper
 
 MIXED = preset_state("mixed")
 ENTANGLED = sanitize(np.diag([0.1, 0.6, 0.2, 0.1]).astype(complex)).state
@@ -162,7 +164,8 @@ def test_ensemble_deterministic_and_jobs_invariant():
 def _stepped_ensemble(args):
     """Plain per-step transcription of _ensemble_chunk.
 
-    The batch class stepper steps on the chunk's one noise stream, drawn
+    The per-step reference class_stepper (_class_step on rows, division and
+    the rows repair) steps on the chunk's one noise stream, drawn
     step-major in one call, the branch maximum after every step, and the
     event and rise rules of events_from_series written out lane by lane.
     """
@@ -174,7 +177,7 @@ def _stepped_ensemble(args):
     sigma = math.sqrt(C_NOISE * cfg.s0 / dt)
     g = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(lo // _CHUNK,)))
     xi = g.standard_normal((n_steps, n)) * sigma
-    advance = _class_stepper(cfg, trajectory.clip_floor(cfg))
+    advance = class_stepper(cfg, trajectory.clip_floor(cfg))
     s = _class_rows(p0, y0, n)
     p, y = s[:4].T, s[4]
     lam_rec = np.empty((n, len(rec_steps)))
@@ -273,6 +276,20 @@ def test_ensemble_chunk_matches_per_step_reference():
                 assert kinds == {EventKind.SUDDEN_DEATH, EventKind.SUDDEN_BIRTH}
     # events on the first step of a block (from k0 to k0 + 1) and on its last
     assert {1, 0} <= edge_steps
+
+
+def test_rows_kernel_raises_no_warnings():
+    """run_ensemble at K = 0.3 over 300 runs, whose last chunk is partial,
+    and coupled_step_bias raise no warning under simplefilter("error"): no
+    positional out to np.maximum or np.minimum, which numpy 2.4
+    deprecates, and no divide or invalid warning from the kernel's scratch
+    rows."""
+    cfg = SimConfig(k_ratio=0.3, duration=3.0, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = run_ensemble(cfg, MIXED, 300)
+        coupled_step_bias(dataclasses.replace(cfg, duration=1.0), MIXED, 300)
+    assert stats.n_clips > 0
 
 
 def test_ensemble_fixed_by_seed_and_chunk():

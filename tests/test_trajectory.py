@@ -29,6 +29,7 @@ from paritysim.qstate import (
     state_to_json,
 )
 from paritysim.trajectory import _CSV_BLOCK, _EVENT_BLOCK, SimConfig, _write_csv, simulate
+from step_reference import class_stepper
 
 
 def bell_diag(p1, p2, p3, p4):
@@ -55,23 +56,32 @@ def hamiltonian(delta: float) -> np.ndarray:
     return h
 
 
+def rows_step(s, xi, cfg, floor):
+    """One step of (5, n) class rows s on draws xi through the rows block
+    stepper; returns (the rows after the step, sum of |tr - 1|, clipped
+    magnitude, lanes clipped)."""
+    states = np.stack([s, np.full_like(s, np.nan)])
+    advance = trajectory._rows_stepper(cfg, floor, s.shape[1])
+    health = advance(states, np.stack([xi, np.full_like(xi, np.nan)]), 0, (0.0, 0.0, 0))
+    return (states[1], *health)
+
+
 def lanes_advance(p, y, xi, cfg, floor):
-    """One step of class lanes (p, y) on draws xi on the batch stepper;
+    """One step of class lanes (p, y) on draws xi on the rows block stepper;
     returns (p, y, sum of |tr - 1|, clipped magnitude, lanes clipped)."""
-    advance = trajectory._class_stepper(cfg, floor)
-    s, *health = advance(trajectory._class_rows(p, y, len(y)), xi)
+    s, *health = rows_step(trajectory._class_rows(p, y, len(y)), xi, cfg, floor)
     return (s[:4].T, s[4], *health)
 
 
 def run_batch(cfg, initial, n_runs, checkpoints=frozenset()):
-    """Small ensemble on the batch class stepper through simulate's stepping
+    """Small ensemble on the rows block stepper through simulate's stepping
     loop, its lanes on the ensemble's chunk-0 stream drawn step-major
     across all n_runs lanes (an ensemble's runs for n_runs <= 256, and
     simulate's for n_runs = 1); returns the final
     (p, y), the summed (trace corrections, clipped magnitude, lanes
     clipped) and {step: (p, y)} from the loop's blocks."""
     rows = trajectory._class_rows(initial.diag, initial.mat[1, 2].imag, n_runs)
-    advance = trajectory._per_step(trajectory._class_stepper(cfg, trajectory.clip_floor(cfg)))
+    advance = trajectory._rows_stepper(cfg, trajectory.clip_floor(cfg), n_runs)
     grabbed = {}
     for k0, states, _, health in trajectory._step_blocks(cfg, 0, n_runs, rows, advance):
         for k in checkpoints & set(range(k0 + 1, k0 + len(states))):
@@ -384,17 +394,17 @@ def test_class_step_same_bits_on_floats_and_rows(lanes, delta, gamma23):
 @given(lanes=class_lanes())
 @example(lanes=EDGE_LANES)
 def test_class_repair_lane_equals_lane_of_batch(lanes):
-    """_class_repair on a one-lane array gives the bits that lane gets in
+    """_rows_repair on a one-lane array gives the bits that lane gets in
     an n-lane call; unflagged lanes stay as they were, and the lanes
     clipped add up."""
     s, _ = lanes
     floor = trajectory.clip_floor(SimConfig())
     batch = s.copy()
-    total, n_clipped = trajectory._class_repair(batch, floor)
+    total, n_clipped = trajectory._rows_repair(floor, s.shape[1])(batch)
     totals, counts = [], 0
     for j in range(s.shape[1]):
         one = s[:, j : j + 1].copy()
-        t, c = trajectory._class_repair(one, floor)
+        t, c = trajectory._rows_repair(floor, 1)(one)
         assert np.array_equal(bits(one), bits(batch[:, j : j + 1]))
         if c == 0:
             assert t == 0.0 and np.array_equal(bits(one), bits(s[:, j : j + 1]))
@@ -407,7 +417,7 @@ def test_class_repair_lane_equals_lane_of_batch(lanes):
 @given(lanes=class_lanes())
 @example(lanes=EDGE_LANES)
 def test_class_repair_same_bits_on_floats_and_rows(lanes):
-    """_lane_repair on one lane's Python floats gives the bits _class_repair
+    """_lane_repair on one lane's Python floats gives the bits _rows_repair
     gives that lane as a (5, 1) row: the state, the clipped magnitude and
     whether the lane was flagged; below the clip floor both raise the same
     DivergenceError."""
@@ -416,7 +426,7 @@ def test_class_repair_same_bits_on_floats_and_rows(lanes):
     flags = []
     for j in range(s.shape[1]):
         row = s[:, j : j + 1].copy()
-        total, n_c = trajectory._class_repair(row, floor)
+        total, n_c = trajectory._rows_repair(floor, 1)(row)
         lane, clipped, flagged = trajectory._lane_repair(*s[:, j].tolist(), floor)
         assert all(type(v) is float for v in (*lane, clipped))
         assert np.array_equal(bits(lane), bits(row[:, 0]))
@@ -424,7 +434,7 @@ def test_class_repair_same_bits_on_floats_and_rows(lanes):
         flags.append(flagged)
         if flagged:
             with pytest.raises(DivergenceError, match="below the clip floor") as rows_err:
-                trajectory._class_repair(s[:, j : j + 1].copy(), 1e-300)
+                trajectory._rows_repair(1e-300, 1)(s[:, j : j + 1].copy())
             with pytest.raises(DivergenceError) as lane_err:
                 trajectory._lane_repair(*s[:, j].tolist(), 1e-300)
             assert str(lane_err.value) == str(rows_err.value)
@@ -432,11 +442,55 @@ def test_class_repair_same_bits_on_floats_and_rows(lanes):
         assert flags == EDGE_FLAGS
 
 
+# 44 lanes, the width of a 300-run ensemble's last chunk: the edge lanes
+# tiled, each copy on other draws, then an unflagged lane whose p1 sits
+# within the rounding slack below zero, so its clipped part is not 0 and
+# the clipped sum must leave it out
+WIDE_LANES = (
+    np.column_stack([np.tile(EDGE_LANES[0], 5)[:, :43], [-4e-16, 0.3, 0.3, 0.4, 0.1]]),
+    np.append(np.linspace(-0.4, 0.4, 43), 0.0),
+)
+
+
+@given(lanes=class_lanes(), delta=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       gamma23=st.floats(0.0, 5.0))
+@example(lanes=EDGE_LANES, delta=2.0 * math.pi, gamma23=0.7)
+@example(lanes=(EDGE_LANES[0][:, 1:2], EDGE_LANES[1][1:2]), delta=2.0 * math.pi, gamma23=0.0)
+@example(lanes=WIDE_LANES, delta=2.0 * math.pi, gamma23=0.7)
+def test_rows_step_same_bits_as_lane_step(lanes, delta, gamma23):
+    """One step of the rows block stepper gives every lane the bits of the
+    float lane step: _class_step on that lane's floats and scaled draw,
+    division by tr, then _lane_repair. Its health is numpy's sums, in lane
+    order, of the lanes' |tr - 1| and of the flagged lanes' clipped
+    magnitudes, and its lanes clipped the flagged lanes' count. Lanes are
+    renormalized first, so every trace stays within the drift bound, and
+    the floor is wide, so no lane raises."""
+    s, a = lanes
+    s = s / s[:4].sum(axis=0)
+    g = np.zeros((4, 4))
+    g[1, 2] = g[2, 1] = gamma23
+    cfg = SimConfig(delta=delta, dt=0.005, gamma=g)
+    floor, per_xi = 1.0, cfg.dt / cfg.s0
+    coef = trajectory._drive_coefficients(cfg.dt, cfg.s0, cfg.delta, gamma23)
+    xi = a / per_xi
+    rows, corrections, clip_total, n_clips = rows_step(s, xi, cfg, floor)
+    devs, clipped = [], []
+    for j in range(s.shape[1]):
+        *lane, tr = trajectory._class_step(*s[:, j].tolist(), float(xi[j]) * per_xi, coef)
+        lane, total, flagged = trajectory._lane_repair(*(v / tr for v in lane), floor)
+        assert np.array_equal(bits(lane), bits(rows[:, j]))
+        devs.append(abs(tr - 1.0))
+        clipped += [total] * flagged
+    assert bits(corrections) == bits(np.sum(np.array(devs)))
+    assert bits(clip_total) == bits(np.sum(np.array(clipped)))
+    assert n_clips == len(clipped)
+
+
 def test_lane_path_skips_repair_on_empty_u2_u3_block(monkeypatch):
     """From u1 or u4 the u2-u3 block stays exactly empty, so the lane
     prefilter clears every step without entering _lane_repair; from the
     mixed state the lane enters it, and every repair counted was made
-    there. The lane never calls the rows projection _class_repair."""
+    there. The lane never builds the rows projection _rows_repair."""
     flagged = []
     project = trajectory._lane_repair
 
@@ -445,11 +499,11 @@ def test_lane_path_skips_repair_on_empty_u2_u3_block(monkeypatch):
         flagged.append(out[2])
         return out
 
-    def rows_projection(s, floor):
-        raise AssertionError("the lane called _class_repair")
+    def rows_projection(floor, n):
+        raise AssertionError("the lane built _rows_repair")
 
     monkeypatch.setattr(trajectory, "_lane_repair", counting)
-    monkeypatch.setattr(trajectory, "_class_repair", rows_projection)
+    monkeypatch.setattr(trajectory, "_rows_repair", rows_projection)
     cfg = SimConfig(k_ratio=1.0, duration=2.0, seed=6)
     for name in ("bell-u1", "bell-u4"):
         rec = simulate(cfg, preset_state(name))
@@ -734,13 +788,13 @@ def test_divergence_step_across_block_edge(monkeypatch):
     """Under a vanishing clip floor the first repair, past two block edges,
     diverges: simulate's lane loop and an ensemble of one's rows loop name
     the same global step, with the same message, and it is the first step a
-    per-step _class_stepper reference on the run's draws flags."""
+    per-step class_stepper reference on the run's draws flags."""
     monkeypatch.setattr(trajectory, "clip_floor", lambda cfg: 1e-300)
     monkeypatch.setattr(ensemble, "clip_floor", lambda cfg: 1e-300)
     cfg = SimConfig(k_ratio=1.0, duration=3.0, seed=1)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
     xi = rng.normal(0.0, math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt), cfg.n_steps)
-    step = trajectory._class_stepper(cfg, 1e-300)
+    step = class_stepper(cfg, 1e-300)
     s = trajectory._class_rows(MIXED.diag, 0.0, 1)
     with pytest.raises(DivergenceError) as ref:
         for k in range(cfg.n_steps):
@@ -788,7 +842,7 @@ def test_driver_noise_at_block_edges(n_steps):
     rec = simulate(cfg, MIXED)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
     xi = rng.normal(0.0, math.sqrt(trajectory.C_NOISE * cfg.s0 / cfg.dt), n_steps + 1)
-    step = trajectory._class_stepper(cfg, trajectory.clip_floor(cfg))
+    step = class_stepper(cfg, trajectory.clip_floor(cfg))
     lanes = [trajectory._class_rows(MIXED.diag, 0.0, 1)]
     for k in range(n_steps):
         lanes.append(step(lanes[-1], xi[k : k + 1])[0])

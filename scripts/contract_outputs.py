@@ -64,6 +64,14 @@ ENSEMBLES = [
     "--k 0.3 --duration 3 --runs 64 --state bell-u2",
     "--k 1 --duration 2 --runs 300 --dt 0.01",
 ]
+# two finite thresholds (refused, exit 2); the odd side r2; the even side,
+# through the parity swap; an entangled state, through p_sudden_death
+PREDICT_STATES = [
+    "0.1,0.2,0.3,0.4",
+    "0.25,0.25,0.49,0.01",
+    "0.49,0.01,0.25,0.25",
+    "0.05,0.05,0.1,0.8",
+]
 PROJECTIVES = [
     "--k 30 --runs 2000",
     "--k 30 --n-max 50 --runs 20000",
@@ -87,8 +95,9 @@ def commands() -> list[tuple[str, list[str], bool]]:
             for i, flags in enumerate(TRAJECTORIES)]
     out += [(f"projective{i}", ["projective", *flags.split()], True)
             for i, flags in enumerate(PROJECTIVES)]
-    out += [("predict-state", ["predict", "--state", "0.1,0.2,0.3,0.4"], False),
-            ("predict-grid", ["predict", "--grid", "6"], False)]
+    out += [(f"predict-state{i}", ["predict", "--state", state], False)
+            for i, state in enumerate(PREDICT_STATES)]
+    out.append(("predict-grid", ["predict", "--grid", "6"], False))
     return out
 
 

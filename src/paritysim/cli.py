@@ -31,7 +31,7 @@ from .ensemble import (
     run_ensemble,
     validate_against_analytics,
 )
-from .fpt import CLASS_TOL, diagonal_state, predict
+from .fpt import diagonal_state, predict
 from .projective import average_concurrence, monte_carlo_average
 from .qstate import (
     DensityMatrix,
@@ -41,7 +41,7 @@ from .qstate import (
     state_from_json,
     trace_distance,
 )
-from .trajectory import SimConfig, _write_csv, simulate
+from .trajectory import SimConfig, _class_matrices, _write_csv, simulate
 
 _SEED_ENV = "PARITY_SEED"
 
@@ -160,6 +160,8 @@ def cmd_ensemble(args) -> int:
         raise UsageError("--runs: must be >= 1")
     if not 0.0 < args.bin_width < math.inf:
         raise UsageError("--bin-width: must be positive and finite")
+    if cfg.duration / args.bin_width > 1e6:
+        raise UsageError("--bin-width: gives more than 10^6 bins over --duration")
     if not args.jobs >= 1:
         raise UsageError("--jobs: must be >= 1")
     try:
@@ -198,14 +200,12 @@ def _parse_probs(text: str) -> np.ndarray:
 
 def _grid_rows(n: int):
     """predict --grid: the admissible (rho33, rho44) triangle at
-    rho11 = rho22 = (1 - rho33 - rho44)/2, n points per axis."""
+    rho11 = rho22 = (1 - rho33 - rho44)/2, n points per axis; predict
+    gives (0, inf) on the diagonal, where both routes are blocked."""
     axis = np.linspace(0.0, 1.0, n)
     for x in axis:
         for y in axis:
             if x + y > 1.0 + 1e-12:
-                continue
-            if abs(x - y) <= CLASS_TOL:
-                yield x, y, 0.0, math.inf
                 continue
             s = max(1.0 - x - y, 0.0)
             pred = predict(diagonal_state(np.array([s / 2.0, s / 2.0, x, y])))
@@ -315,11 +315,8 @@ def _check_concurrence_oracle(n: int):
     y = (2.0 * rng.random(n) - 1.0) * np.sqrt(pops[:, 1] * pops[:, 2])
     branch = np.maximum(lambda_branch_max(pops, y), 0.0)
     err = 0.0
-    for k in range(n):
-        mat = np.diag(pops[k]).astype(complex)
-        mat[1, 2] = 1j * y[k]
-        mat[2, 1] = -1j * y[k]
-        err = max(err, abs(branch[k] - wootters_concurrence(DensityMatrix(mat))))
+    for b, mat in zip(branch, _class_matrices(np.column_stack([pops, y]))):
+        err = max(err, abs(b - wootters_concurrence(DensityMatrix(mat))))
     return err < 1e-10, f"max |branch - Wootters| {err:.3g} over {n} states"
 
 

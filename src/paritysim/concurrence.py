@@ -72,7 +72,7 @@ def _sqrt_eigenvalues_general(rho: DensityMatrix) -> np.ndarray:
     evals = np.clip(evals, 0.0, None)
     root = (vecs * np.sqrt(evals)) @ vecs.conj().T
     w = root @ SY_SY @ root.conj()
-    return np.sort(np.linalg.svd(w, compute_uv=False))[::-1]
+    return np.linalg.svd(w, compute_uv=False)   # numpy returns them descending
 
 
 def wootters_lambda(rho: DensityMatrix) -> float:

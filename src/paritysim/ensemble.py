@@ -23,6 +23,7 @@ import numpy as np
 from .concurrence import X_TOL, class_residual, lambda_branch_max
 from .fpt import (
     CrossingPrediction,
+    _crossing_fraction,
     block_draws,
     diagonal_state,
     drift_offset,
@@ -205,9 +206,9 @@ def _ensemble_chunk(args) -> dict:
     chunk's end the crossings are sorted by run into the event table: a
     run's first crossing is genesis if it goes up (the run started
     unentangled), later up-crossings sudden births, down-crossings sudden
-    deaths. The interpolation expressions are those of events_from_series
-    in tests/event_reference.py, so an ensemble of one reproduces its
-    detect_events exactly.
+    deaths. Events and rise times are placed by fpt._crossing_fraction,
+    which has the bits of events_from_series in tests/event_reference.py,
+    so an ensemble of one reproduces its detect_events exactly.
     """
     cfg, p0, y0, lo, hi, rise_threshold = args
     n, dt = hi - lo, cfg.dt
@@ -235,8 +236,7 @@ def _ensemble_chunk(args) -> dict:
             i, j = np.nonzero(ent[1:] != ent[:-1])
             k = k0 + 1 + i
             t0, t1 = (k - 1) * dt, k * dt
-            before, after = lam[i, j], lam[i + 1, j]
-            t_star = t0 + (t1 - t0) * (before / (before - after))
+            t_star = t0 + (t1 - t0) * _crossing_fraction(lam[i, j], lam[i + 1, j], 0.0)
             crossings.append((lo + j, k, t_star, ent[i + 1, j]))
             if rise_threshold is not None:
                 # the first step of the block that ends above the threshold
@@ -245,8 +245,8 @@ def _ensemble_chunk(args) -> dict:
                 i = above[:, j].argmax(axis=0)
                 k = k0 + 1 + i
                 t0, t1 = (k - 1) * dt, k * dt
-                before, after = lam[i, j], lam[i + 1, j]
-                rise[j] = t0 + (t1 - t0) * ((rise_threshold - before) / (after - before))
+                rise[j] = t0 + (t1 - t0) * _crossing_fraction(
+                    lam[i, j], lam[i + 1, j], rise_threshold)
     except DivergenceError as exc:
         raise DivergenceError(f"runs [{lo}, {hi}) at {exc}") from None
 
@@ -273,7 +273,6 @@ def _ensemble_chunk(args) -> dict:
         "corrections": health[0],
         "clip_total": health[1],
         "n_clips": health[2],
-        "times": rec_at * dt,
     }
 
 
@@ -331,7 +330,7 @@ def run_ensemble(
     genesis, rise, table = (
         np.concatenate([part[key] for part in parts]) for key in ("genesis", "rise", "events")
     )
-    times = parts[0]["times"]
+    times = _record_steps(cfg) * cfg.dt
     n_rec = times.size
 
     def mean_se(total, totalsq):

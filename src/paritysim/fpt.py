@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import diagonal_lambda
+from .qstate import PARITY_CURRENTS
 
 __all__ = [
     "DiagonalState",
@@ -59,8 +60,6 @@ _WALK_CHUNK = 16384   # oracle walkers per stream
 _WALK_TAIL = 24.0     # oracle window beyond the bulk, tau units
 _EXP_CUTOFF = 746.0   # exp(-x) is exactly 0 for every x beyond this
 
-_CURRENT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
 
 @dataclass(frozen=True, eq=False)
 class DiagonalState:
@@ -88,13 +87,16 @@ class DiagonalState:
 
 
 def diagonal_state(populations) -> DiagonalState:
+    """Four finite populations, none below -CLASS_TOL, summing to 1."""
     p = np.asarray(populations, dtype=float).copy()
     if p.shape != (4,):
         raise ValueError("expected four populations")
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite population: {p.tolist()}")
     if np.any(p < -CLASS_TOL):
-        raise ValueError(f"negative population: {p.min()!r}")
+        raise ValueError(f"negative population: {float(p.min())}")
     if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"populations sum to {p.sum()!r}, not 1")
+        raise ValueError(f"populations sum to {float(p.sum())}, not 1")
     p = np.clip(p, 0.0, None)
     p.setflags(write=False)
     return DiagonalState(p)
@@ -104,12 +106,6 @@ def _swap_parity(state: DiagonalState) -> DiagonalState:
     return diagonal_state(np.array([state.p[2], state.p[3], state.p[0], state.p[1]]))
 
 
-def _log_weights(state: DiagonalState, gamma: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        logp = np.log(state.p)
-    return logp + gamma * _CURRENT_SIGNS
-
-
 def bayes_update(state: DiagonalState, gamma: float) -> DiagonalState:
     """Posterior after observing integrated log-likelihood gamma.
 
@@ -117,50 +113,46 @@ def bayes_update(state: DiagonalState, gamma: float) -> DiagonalState:
     corresponding parity subspace.
     """
     if math.isinf(gamma):
-        mask = _CURRENT_SIGNS == (1.0 if gamma > 0 else -1.0)
+        mask = PARITY_CURRENTS == (1.0 if gamma > 0 else -1.0)
         q = np.where(mask, state.p, 0.0)
         if q.sum() <= 0.0:
             raise ValueError("limit subspace has zero weight")
         return diagonal_state(q / q.sum())
-    logq = _log_weights(state, gamma)
-    m = logq.max()
-    q = np.exp(logq - m)
+    with np.errstate(divide="ignore"):
+        logq = np.log(state.p) + gamma * PARITY_CURRENTS
+    q = np.exp(logq - logq.max())
     return diagonal_state(q / q.sum())
 
 
 def lambda_of_gamma(state: DiagonalState, gamma: float) -> float:
-    """Lambda of the gamma-updated state: 2 max_i p_i(gamma) - 1."""
-    if math.isinf(gamma):
-        return diagonal_lambda(bayes_update(state, gamma).p)
-    logq = _log_weights(state, gamma)
-    m = logq.max()
-    q = np.exp(logq - m)
-    return float(2.0 * q.max() / q.sum() - 1.0)
+    """Lambda of the gamma-updated state, 2 max_i p_i(gamma) - 1: the
+    diagonal_lambda of bayes_update(state, gamma), so it shares the update's
+    log-domain weights and its +-inf limits."""
+    return diagonal_lambda(bayes_update(state, gamma).p)
 
 
 def crossing_thresholds(state: DiagonalState) -> tuple[float, float]:
     """Thresholds (r1, r2) where Lambda(gamma) = 0.
 
     r1 is the even-side crossing (gamma -> +inf direction), r2 the odd-side
-    one. Blocked routes return infinite sentinels: r1 = +inf when
-    rho_11 = rho_22, r2 = -inf when rho_33 = rho_44; a vanishing opposite
-    subspace pushes the threshold to the other infinity.
+    one. Blocked routes (DiagonalState.even_blocked and odd_blocked) return
+    infinite sentinels: r1 = +inf when rho_11 = rho_22, r2 = -inf when
+    rho_33 = rho_44; a vanishing opposite subspace pushes the threshold to
+    the other infinity.
     """
     p = state.p
-    d_even = abs(p[0] - p[1])
-    d_odd = abs(p[2] - p[3])
-    if d_even <= CLASS_TOL:
+    if state.even_blocked:
         r1 = math.inf
     elif state.p_odd <= CLASS_TOL:
         r1 = -math.inf
     else:
-        r1 = 0.5 * math.log(state.p_odd / d_even)
-    if d_odd <= CLASS_TOL:
+        r1 = 0.5 * math.log(state.p_odd / abs(p[0] - p[1]))
+    if state.odd_blocked:
         r2 = -math.inf
     elif state.p_even <= CLASS_TOL:
         r2 = math.inf
     else:
-        r2 = -0.5 * math.log(state.p_even / d_odd)
+        r2 = -0.5 * math.log(state.p_even / abs(p[2] - p[3]))
     return r1, r2
 
 
@@ -244,13 +236,9 @@ def fpt_pdf(tau, r2: float, parity: str):
 
 def fpt_pdf_conditioned(tau, r2: float):
     """Crossing-time density conditioned on crossing: the same inverse
-    Gaussian for both parities, mean |r2|, shape r2^2."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros_like(tau)
-    pos = tau > 0.0
-    t = tau[pos]
-    out[pos] = abs(r2) / np.sqrt(2.0 * np.pi * t**3) * np.exp(-((abs(r2) - t) ** 2) / (2.0 * t))
-    return out if out.ndim else float(out)
+    Gaussian for both parities, mean |r2|, shape r2^2: fpt_pdf of the
+    parity whose drift points at r2, which crosses with probability 1."""
+    return fpt_pdf(tau, r2, "even" if r2 >= 0.0 else "odd")
 
 
 def green_function(gamma, tau: float, r2: float, parity: str):
@@ -410,17 +398,24 @@ def bridge_step(g0, g1, thr: float, side: float, dt, u):
     return crossed, crossed | escaped
 
 
+def _crossing_fraction(g0, g1, level):
+    """The linear-interpolation zero of g0 -> g1 at level, as a fraction of
+    the step: the walks' direct hits and the ensemble's border events and
+    rise times all use it. IEEE subtraction negates exactly, so it equals
+    (level - g0) / (g1 - g0), up to the sign of a zero; rounding is
+    monotone, so it lies in [0, 1] on a step across level. Elementwise."""
+    return (g0 - level) / (g0 - g1)
+
+
 def hit_fraction(g0, g1, thr: float, side: float):
     """Time of a bridge_step crossing as a fraction of its step g0 -> g1:
-    the linear-interpolation zero for a direct hit, mid-step for a bridge
+    _crossing_fraction at thr for a direct hit, mid-step for a bridge
     crossing. Elementwise, meant for the crossed steps only."""
-    d0 = g0 - thr
     direct = side * (g1 - thr) >= 0.0
-    # d0 / (g0 - g1) is (thr - g0) / (g1 - g0) to the bit, in (0, 1] on a
-    # live direct hit since rounding is monotone; only steps that are not
-    # direct can divide by zero, and those get 0.5
+    # a live direct hit lies in (0, 1]; only steps that are not direct can
+    # divide by zero, and those get 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(direct, d0 / (g0 - g1), 0.5)
+        return np.where(direct, _crossing_fraction(g0, g1, thr), 0.5)
 
 
 def _tau_bulk(thr: float) -> float:

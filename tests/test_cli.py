@@ -140,6 +140,16 @@ def test_predict_rejects_unsupported_class(capsys):
     assert "rho" in err  # the message states the class conditions
 
 
+@pytest.mark.parametrize("state", ["nan,0.5,0.25,0.25", "inf,0.5,0.25,0.25",
+                                   "0.25,0.25,-inf,0.5"])
+def test_predict_rejects_non_finite_populations(capsys, state):
+    assert main(["predict", "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert "--state" in captured.err and "non-finite" in captured.err
+    assert "np.float64" not in captured.err
+    assert captured.out == ""
+
+
 def test_predict_needs_exactly_one_mode(capsys):
     assert main(["predict"]) == 2
     capsys.readouterr()
@@ -273,6 +283,8 @@ def test_config_file_precedence(tmp_path):
     pytest.param(["trajectory"], {"duraton": 15}, "'duraton'", id="config-duraton"),
     pytest.param(["trajectory"], {"out": ["x"]}, "'out'", id="config-out-list"),
     pytest.param(["ensemble", "--bin-width", "nan"], None, "--bin-width", id="flag-bin-width-nan"),
+    pytest.param(["ensemble", "--bin-width", "1e-300"], None, "--bin-width",
+                 id="flag-bin-width-1e-300"),
     pytest.param(["projective", "--k", "nan"], None, "--k", id="flag-projective-k-nan"),
     pytest.param(["trajectory", "--duration", "inf"], None, "--duration", id="flag-duration-inf"),
 ])

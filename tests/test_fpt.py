@@ -80,6 +80,20 @@ def test_bayes_update_extreme_gamma():
         assert np.max(np.abs(got - expect)) < 1e-12
 
 
+@pytest.mark.parametrize("pops, match", [
+    ([math.nan, 0.5, 0.25, 0.25], "non-finite"),
+    ([math.inf, 0.5, 0.25, 0.25], "non-finite"),
+    ([0.25, -math.inf, 0.5, 0.25], "non-finite"),
+    ([-0.1, 0.6, 0.25, 0.25], r"negative population: -0\.1$"),
+    ([0.5, 0.5, 0.25, 0.25], r"populations sum to 1\.5, not 1$"),
+])
+def test_diagonal_state_rejects_bad_populations(pops, match):
+    """nan and +-inf are refused, though every comparison with nan is
+    False; the messages print plain floats, not numpy reprs."""
+    with pytest.raises(ValueError, match=match):
+        fpt.diagonal_state(pops)
+
+
 def test_bayes_update_infinite_into_empty_subspace_raises():
     st = fpt.diagonal_state([0.0, 0.0, 0.6, 0.4])
     with pytest.raises(ValueError, match="zero weight"):
@@ -436,6 +450,28 @@ def test_bridge_step_decisions():
     crossed, _ = fpt.bridge_step(g[:-1], g[1:], 0.5, 1.0, dts, np.ones((2, 2)))
     assert crossed.tolist() == [[False, False], [True, False]]
     assert fpt.hit_fraction(g[1, 0], g[2, 0], 0.5, 1.0) == pytest.approx(0.4)
+
+
+def test_crossing_fraction_has_the_bits_of_both_forms(rng):
+    """The one crossing rule, on steps across the level: the values of
+    (level - g0) / (g1 - g0), the form the rise times had, and at level 0
+    the bits of g0 / (g0 - g1), the form the border events had. Only a zero
+    fraction (g0 on the level) can differ, in its sign, and the time
+    t0 + (t1 - t0) * frac with t0 >= 0 takes the same bits from both."""
+    g = np.concatenate([rng.normal(size=(2, 20000)) * 10.0 ** rng.integers(-300, 300, (2, 20000)),
+                        [[-0.0, 0.0, 5e-324, -5e-324], [1.0, -1.0, -1e-300, 2.0]]], axis=1)
+    t0 = rng.integers(0, 1000, g.shape[1]) * 0.01
+    t1 = t0 + 0.01
+    for level in (0.0, -0.05, 0.3):
+        g0, g1 = g + level
+        across = (np.sign(g0 - level) * np.sign(g1 - level) <= 0.0) & (g0 != g1)
+        g0, g1, a, b = g0[across], g1[across], t0[across], t1[across]
+        got = fpt._crossing_fraction(g0, g1, level)
+        want = (level - g0) / (g1 - g0)
+        assert np.array_equal(got, want), level
+        assert (a + (b - a) * got).tobytes() == (a + (b - a) * want).tobytes(), level
+        if level == 0.0:
+            assert got.tobytes() == (g0 / (g0 - g1)).tobytes()
 
 
 def test_walk_first_passage_at_infinite_offset_is_constant_drift(monkeypatch):

@@ -225,11 +225,8 @@ def cmd_predict(args) -> int:
     probs = _parse_probs(args.state)
     try:
         pred = predict(diagonal_state(probs))
-    except ValueError as exc:
-        raise UsageError(
-            f"--state: {exc} (supported classes: rho11 = rho22 with "
-            "rho33 != rho44, or rho33 = rho44 with rho11 != rho22)"
-        ) from None
+    except ValueError as exc:   # predict's class errors state the supported classes
+        raise UsageError(f"--state: {exc}") from None
     sys.stdout.write(pred.to_json() + "\n")
     return 0
 

@@ -24,12 +24,10 @@ from .concurrence import X_TOL, class_residual, lambda_branch_max
 from .fpt import (
     CrossingPrediction,
     _crossing_fraction,
-    block_draws,
+    _parity_walks,
     diagonal_state,
-    drift_offset,
     predict,
     walk_dts,
-    walk_first_passage,
 )
 from .qstate import DensityMatrix, DivergenceError
 from .trajectory import (
@@ -432,32 +430,29 @@ def _crossing_chunk(args) -> dict:
     """Measurement-only first-crossing kernel for runs [lo, hi).
 
     With the drive off the conditioned state is an exact function of the
-    integrated record, p_i(gamma) proportional to p_i(0) exp(I_i gamma),
-    so the mean current is tanh(gamma + c), c = ln(p_even / p_odd) / 2,
-    and the record log-likelihood advances by the Euler rule
-    (tanh(gamma + c) + noise) dt on one real per run. fpt.walk_first_passage
-    steps the runs in blocks over the fine-then-coarse steps of
-    fpt.walk_dts, five in-place ufunc calls per step, and resolves each
-    crossing with fpt.bridge_step, which evaluates the bridge exponential
-    only where it is nonzero.
+    record log-likelihood gamma, p_i(gamma) proportional to
+    p_i(0) exp(I_i gamma), and given the parity (even with probability
+    p1 + p2) gamma is Brownian motion with drift +-1 and D = 1/2.
+    fpt._parity_walks draws each run's parity, then steps the runs in
+    blocks over the fine-then-coarse steps of fpt.walk_dts, one running sum
+    per block, and fpt.bridge_step resolves each crossing.
 
     The chunk draws from one generator,
-    SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)): each block takes
-    the normals, then the bridge uniforms, of the runs still open
-    (fpt.block_draws). A run's time is therefore a deterministic function
-    of the seed and its chunk, fixed by the _CHUNK boundaries whatever the
-    worker count; it also depends on the block schedule and on the other
-    runs of the chunk, so a partial last chunk draws differently from a
-    full one.
+    SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)): the runs'
+    parities, then in each block the normals and the bridge uniforms of the
+    runs still open (fpt.block_draws). A run's time is therefore a
+    deterministic function of the seed and its chunk, fixed by the _CHUNK
+    boundaries whatever the worker count; it also depends on the block
+    schedule and on the other runs of the chunk, so a partial last chunk
+    draws differently from a full one.
 
     The window is [0, tau_max], and the steps of fpt.walk_dts can end past
     it: a crossing located after tau_max counts as open (time nan, counted
     in n_open).
     """
     seed, p0, lo, hi, thr, dt1, tau_max = args
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)))
-    c = np.full(hi - lo, drift_offset(p0[0] + p0[1], p0[2] + p0[3]))
-    times, n_open = walk_first_passage(c, thr, walk_dts(thr, dt1, tau_max), block_draws(rng))
+    dts = walk_dts(thr, dt1, tau_max)
+    times, n_open = _parity_walks(seed, lo // _CHUNK, p0[0] + p0[1], hi - lo, thr, dts)
     late = times > tau_max
     times[late] = np.nan
     return {"times": times, "n_open": n_open + int(late.sum())}

@@ -330,8 +330,9 @@ def predict(state: DiagonalState) -> CrossingPrediction:
     f1, f2 = math.isfinite(r1), math.isfinite(r2)
     if f1 and f2:
         raise ValueError(
-            "both rho_11 != rho_22 and rho_33 != rho_44: two finite thresholds, "
-            "outside the analyzed classes"
+            "both rho_11 != rho_22 and rho_33 != rho_44: two finite thresholds "
+            "(supported classes: rho_11 = rho_22 with rho_33 != rho_44, or "
+            "rho_33 = rho_44 with rho_11 != rho_22)"
         )
     if not f1 and not f2:
         return CrossingPrediction(
@@ -348,7 +349,9 @@ def drift_offset(p_even: float, p_odd: float) -> float:
 
     sum_i p_i I_i e^{I_i g} / sum_i p_i e^{I_i g} = tanh(g + c) with
     c = ln(p_even / p_odd) / 2. A vanishing parity gives c = -+inf, for
-    which numpy's tanh returns the limiting current -+1 exactly.
+    which numpy's tanh returns the limiting current -+1 exactly. The filter
+    dg = (tanh(g + c) + xi) dt (the innovation form of the Bayes update)
+    has the law of the parity mixture that _parity_walks walks.
     """
     if p_even < 0.0 or p_odd < 0.0 or p_even + p_odd <= 0.0:
         raise ValueError(f"need nonnegative parity weights, not both 0: {p_even!r}, {p_odd!r}")
@@ -443,9 +446,9 @@ def walk_dts(thr: float, dt1: float, tau_max: float) -> np.ndarray:
 def block_draws(rng: np.random.Generator):
     """walk_first_passage draw callback on one generator: each block takes
     rng.standard_normal((k1 - k0, alive.size)) for the open walks, then
-    rng.random of the same shape. A walk's values therefore depend on the
-    block schedule (_FIRST_BLOCK doubling to _BLOCK) and on which other
-    walks of the generator are still open, not on the walk alone."""
+    rng.random of the same shape, after _parity_walks's parity draw. A
+    walk's values thus depend on the block schedule (_FIRST_BLOCK doubling
+    to _BLOCK) and on which other walks of the generator are still open."""
 
     def draw(k0, k1, alive):
         shape = (k1 - k0, alive.size)
@@ -454,24 +457,22 @@ def block_draws(rng: np.random.Generator):
     return draw
 
 
-def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
-    """First passage across thr of walks dg = (tanh(g + c) + xi/sqrt(dt)) dt
-    from g = 0, one per entry of c, with the per-step dt of dts.
+def walk_first_passage(v: np.ndarray, thr: float, dts: np.ndarray, draw):
+    """First passage across thr of walks dg = (v + xi/sqrt(dt)) dt from
+    g = 0, one per drift sign v (+-1.0), with the per-step dt of dts.
 
-    c = +-inf gives the constant drift +-1 exactly, since numpy's
-    tanh(+-inf) is +-1. Open walks are stepped a block of steps at a time
-    with g recorded at every step: each step is five ufunc calls that write
-    g[i + 1] = g[i] + (tanh(g[i] + c) + xi) * dt in place, bound to locals
-    with positional outputs, since on a few hundred lanes numpy's per-call
-    overhead outweighs the arithmetic. bridge_step then decides the whole
+    Open walks are stepped a block of steps at a time with g recorded at
+    every step: three calls write the block's increments (v + xi) dt and
+    their running sum, np.add.accumulate, which adds in order, so g[i + 1]
+    has the bits of g[i] + (v + xi) dt. bridge_step then decides the whole
     block at once. Each walk's first retiring step fixes its time, and
     hit_fraction is evaluated on those steps alone; steps taken after it
     within the block are discarded, and the open walks are compacted.
 
     draw(k0, k1, alive) supplies the standard normals xi and the bridge
     uniforms of steps [k0, k1) for the open walks, as two
-    (k1 - k0, alive.size) arrays; alive holds their indices into c. Both
-    callers pass block_draws, so the block schedule, starting at
+    (k1 - k0, alive.size) arrays; alive holds their indices into v.
+    _parity_walks passes block_draws, so the block schedule, starting at
     _FIRST_BLOCK steps and doubling to _BLOCK, shapes what each walk draws.
 
     Returns (times, n_open): crossing times (nan where a walk escaped or
@@ -481,13 +482,9 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
     n_steps = dts.size
     noise_scale = np.sqrt(1.0 / dts)
     t_before = np.concatenate([[0.0], np.cumsum(dts)])   # t += dt, in order
-    gam = np.zeros(c.size)
-    alive = np.arange(c.size)
-    times = np.full(c.size, np.nan)
-    add, tanh, multiply = np.add, np.tanh, np.multiply
-    # a Python-float dt, or a (1,) row that numpy must broadcast, costs more
-    # per call than a stride-0 row; blocks slice these rows, not rebuild them
-    dt_lanes = np.broadcast_to(dts[:, None], (n_steps, c.size))
+    gam = np.zeros(v.size)
+    alive = np.arange(v.size)
+    times = np.full(v.size, np.nan)
     k0 = 0
     while k0 < n_steps and alive.size:
         # short first blocks, so that the many walks retiring within the
@@ -497,12 +494,9 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
         xi *= noise_scale[k0:k1, None]
         g = np.empty((k1 - k0 + 1, alive.size))
         g[0] = gam
-        for g_i, g_next, xi_i, dt_i in zip(g[:-1], g[1:], xi, dt_lanes[k0:k1, :alive.size]):
-            add(g_i, c, g_next)
-            tanh(g_next, g_next)
-            add(g_next, xi_i, g_next)
-            multiply(g_next, dt_i, g_next)
-            add(g_i, g_next, g_next)
+        np.add(v, xi, out=g[1:])
+        np.multiply(g[1:], dts[k0:k1, None], out=g[1:])
+        np.add.accumulate(g, axis=0, out=g)
         crossed, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
         done = retire.any(axis=0)
         lanes = np.nonzero(done)[0]
@@ -513,9 +507,19 @@ def walk_first_passage(c: np.ndarray, thr: float, dts: np.ndarray, draw):
         frac = hit_fraction(g[first, lanes], g[first + 1, lanes], thr, side)
         times[alive[lanes]] = t_before[k] + dts[k] * frac
         keep = ~done
-        alive, gam, c = alive[keep], g[-1, keep], c[keep]
+        alive, gam, v = alive[keep], g[-1, keep], v[keep]
         k0 = k1
     return times, int(alive.size)
+
+
+def _parity_walks(seed: int, chunk: int, p_even: float, n_walks: int, thr: float, dts):
+    """walk_first_passage of n_walks walks on the stream rng of
+    SeedSequence(seed, spawn_key=(chunk,)): each walk's parity first, even
+    (drift v = +1, else -1) where rng.random(n_walks) < p_even, then
+    block_draws(rng). Given its parity the log-likelihood has drift v, D = 1/2."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+    v = np.where(rng.random(n_walks) < p_even, DRIFT, -DRIFT)
+    return walk_first_passage(v, thr, dts, block_draws(rng))
 
 
 def walk_crossing_times(
@@ -530,8 +534,8 @@ def walk_crossing_times(
     closed forms.
 
     Each walker draws a parity (even with probability p_even), then runs
-    dgamma = v dtau + sqrt(2 D dtau) N(0,1) until absorbed at r2: walks of
-    walk_first_passage at c = +inf (even) or -inf (odd), over
+    dgamma = v dtau + sqrt(2 D dtau) N(0,1) until absorbed at r2, v = +1
+    (even) or -1 (odd): the walks of _parity_walks, over
     walk_dts(r2, dt_tau, tau_bulk + 24). Sub-step crossings are resolved
     exactly with the Brownian-bridge crossing probability
     exp(-(g0-r2)(g1-r2)/(D dtau)), so the crossing fraction is unbiased at
@@ -541,7 +545,7 @@ def walk_crossing_times(
     Returns (crossed mask, times); times are nan for non-crossers.
     Deterministic in seed: walkers come in chunks of _WALK_CHUNK, and chunk
     c draws its parities, then every block's normals and uniforms
-    (block_draws), from the one stream derived from
+    (_parity_walks), from the one stream derived from
     SeedSequence(seed, spawn_key=(c,)). A partial last chunk draws
     differently from a full one, so a walker's time depends on n_walkers
     unless its chunk is full in both.
@@ -554,7 +558,5 @@ def walk_crossing_times(
     times = np.full(n_walkers, np.nan)
     for ci, lo in enumerate(range(0, n_walkers, _WALK_CHUNK)):
         hi = min(lo + _WALK_CHUNK, n_walkers)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-        c = np.where(rng.random(hi - lo) < p_even, math.inf, -math.inf)
-        times[lo:hi], _ = walk_first_passage(c, r2, dts, block_draws(rng))
+        times[lo:hi], _ = _parity_walks(seed, ci, p_even, hi - lo, r2, dts)
     return ~np.isnan(times), times

@@ -138,6 +138,18 @@ def test_predict_rejects_unsupported_class(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "rho" in err  # the message states the class conditions
+    assert "two finite thresholds" in err and "supported classes" in err
+
+
+@pytest.mark.parametrize("state,fault", [("0.5,0.5,0.25,0.25", "populations sum to 1.5"),
+                                         ("-0.1,0.6,0.25,0.25", "negative population")])
+def test_predict_input_faults_carry_no_class_hint(capsys, state, fault):
+    """An input fault from diagonal_state reads as itself, exit 2, without
+    predict's supported-classes hint."""
+    assert main(["predict", f"--state={state}"]) == 2
+    captured = capsys.readouterr()
+    assert f"--state: {fault}" in captured.err and captured.out == ""
+    assert "supported classes" not in captured.err
 
 
 @pytest.mark.parametrize("state", ["nan,0.5,0.25,0.25", "inf,0.5,0.25,0.25",
@@ -146,7 +158,7 @@ def test_predict_rejects_non_finite_populations(capsys, state):
     assert main(["predict", "--state", state]) == 2
     captured = capsys.readouterr()
     assert "--state" in captured.err and "non-finite" in captured.err
-    assert "np.float64" not in captured.err
+    assert "np.float64" not in captured.err and "supported classes" not in captured.err
     assert captured.out == ""
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from event_reference import detect_events, events_from_series
-from paritysim import ensemble, trajectory
+from paritysim import ensemble, fpt, trajectory
 from paritysim.concurrence import lambda_branch_values
 from paritysim.ensemble import (
     BorderEvent,
@@ -540,14 +540,14 @@ def test_crossing_times_are_positive_and_bounded():
     assert n_open > 0
 
 
-def _stepped_crossings(args, z, u):
+def _stepped_crossings(args, v, z, u):
     """Plain per-run, per-step transcription of the crossing kernel.
 
-    Populations through the Bayes map and the mean current as their
-    weighted average, run j's noise and bridge uniform of step k read from
-    z[k, j - lo] and u[k, j - lo], and the bridge rule written out. Returns
-    the times and each run's fate: (kind, step) with kind hit, bridge,
-    escape or open.
+    Run j walks g + (v[j - lo] + z[k, j - lo] / sqrt(dt)) dt from 0 with
+    its drift sign v, its noise and bridge uniform of step k read from
+    z[k, j - lo] and u[k, j - lo], and the bridge rule written out.
+    Returns the times and each run's fate: (kind, step) with kind hit,
+    bridge, escape or open.
     """
     seed, p0, lo, hi, thr, dt1, tau_max = args
     tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
@@ -559,9 +559,7 @@ def _stepped_crossings(args, z, u):
     for j in range(lo, hi):
         g, t, time_j, fate = 0.0, 0.0, math.nan, ("open", len(dts))
         for k, dt in enumerate(dts):
-            w = [p * math.exp(s * g) for p, s in zip(p0, (1.0, 1.0, -1.0, -1.0))]
-            mean = (w[0] + w[1] - w[2] - w[3]) / sum(w)
-            g_new = g + (mean + z[k, j - lo] * math.sqrt(1.0 / dt)) * dt
+            g_new = g + (v[j - lo] + z[k, j - lo] * math.sqrt(1.0 / dt)) * dt
             a, b = side * (g - thr), side * (g_new - thr)
             if b >= 0.0:
                 time_j, fate = t + dt * (thr - g) / (g_new - g), ("hit", k)
@@ -594,21 +592,27 @@ _COVERS = {
     "state,dt,case",
     [
         ((0.10, 0.10, 0.28, 0.52), 1e-2, "coarse"),
-        ((0.26, 0.26, 0.22, 0.26), 2e-3, "noise_block"),
+        # a nearly blocked odd route puts the threshold at r2 = -5.06, which
+        # the odd walks reach late; the open runs are even walks that
+        # neither cross back to r2 = -1.10 nor escape within the window
+        ((0.25, 0.25, 0.25 - 1e-5, 0.25 + 1e-5), 2e-3, "noise_block"),
         ((0.05, 0.05, 0.00, 0.90), 2e-3, "escape"),
-        ((0.35, 0.35, 0.05, 0.25), 1e-2, "open"),
+        ((0.45, 0.45, 0.00, 0.10), 1e-2, "open"),
     ],
 )
 def test_crossing_chunk_matches_per_step_reference(state, dt, case, monkeypatch):
-    """_crossing_chunk, its draws served from seeded tables z[step, run]
-    and u[step, run] in place of the chunk stream, against the per-step
-    reference reading the same tables. Column j of each table comes from
-    its own stream, SeedSequence(seed, spawn_key=(j,)) for z and (j, 1)
-    for u."""
+    """_crossing_chunk, its block draws served from seeded tables
+    z[step, run] and u[step, run] in place of the chunk stream, against the
+    per-step reference reading the same tables. Column j of each table
+    comes from its own stream, SeedSequence(seed, spawn_key=(j,)) for z and
+    (j, 1) for u. The reference's drift signs are the parity draw that
+    opens the chunk stream: even (+1) where rng.random(hi - lo) < p1 + p2."""
     cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=dt, seed=11)
     args = _crossing_chunks(state, cfg, 64)[0]
-    _, _, lo, hi, thr, dt1, tau_max = args
+    _, p0, lo, hi, thr, dt1, tau_max = args
     n_steps = walk_dts(thr, dt1, tau_max).size
+    chunk = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)))
+    v = np.where(chunk.random(hi - lo) < p0[0] + p0[1], 1.0, -1.0)
 
     def table(draw, *key):
         return np.stack([
@@ -618,13 +622,13 @@ def test_crossing_chunk_matches_per_step_reference(state, dt, case, monkeypatch)
 
     z = table(lambda g: g.standard_normal(n_steps))
     u = table(lambda g: g.random(n_steps), 1)
-    ref_times, fates, n1 = _stepped_crossings(args, z, u)
+    ref_times, fates, n1 = _stepped_crossings(args, v, z, u)
     assert _COVERS[case](fates, n1)
 
     def table_draw(k0, k1, alive):
         return z[k0:k1, alive], u[k0:k1, alive]
 
-    monkeypatch.setattr(ensemble, "block_draws", lambda rng: table_draw)
+    monkeypatch.setattr(fpt, "block_draws", lambda rng: table_draw)
     got = _crossing_chunk(args)
     crossed = ~np.isnan(ref_times)
     assert np.array_equal(~np.isnan(got["times"]), crossed)

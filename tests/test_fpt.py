@@ -17,6 +17,7 @@ from scipy import integrate, optimize, stats
 
 from paritysim import fpt
 from paritysim.concurrence import diagonal_lambda
+from step_reference import tanh_walk
 
 # (populations, r2, p_cross, initially entangled)
 WORKED = [
@@ -475,8 +476,9 @@ def test_crossing_fraction_has_the_bits_of_both_forms(rng):
 
 
 def test_walk_first_passage_at_infinite_offset_is_constant_drift(monkeypatch):
-    """The oracle's walk_first_passage call, c = +-inf per walker, against
-    a plain per-walk stepper with drift +-1 on the draws the oracle's
+    """The oracle's walk_first_passage call, a drift sign +-1 per walker
+    (the constant drift that c = +-inf gave the filter walk), against a
+    plain per-walk stepper with drift +-1 on the draws the oracle's
     callback handed out: the same crossings, open count and times, over a
     direct hit, a bridge crossing, an escape and a retirement in the
     coarse phase."""
@@ -498,7 +500,7 @@ def test_walk_first_passage_at_infinite_offset_is_constant_drift(monkeypatch):
     monkeypatch.setattr(fpt, "walk_first_passage", recording)
     crossed, times = fpt.walk_crossing_times(0.5, -0.5, 400, dt_tau=0.05, seed=5)
     [(c, thr, dts, blocks, (got, n_open))] = calls
-    assert np.all(np.isinf(c)) and (c > 0).any() and (c < 0).any()
+    assert np.all(np.abs(c) == 1.0) and (c > 0).any() and (c < 0).any()
     assert np.array_equal(times, got, equal_nan=True)
     assert np.array_equal(crossed, ~np.isnan(got))
 
@@ -561,17 +563,17 @@ def _reference_bridge_step(g0, g1, thr, side, dt, u):
     return crossed, crossed | (b < -fpt.ESCAPE)
 
 
-def _reference_walk(c, thr, dts, draw):
+def _reference_walk(v, thr, dts, draw):
     """walk_first_passage stepped through a scratch increment row, with
-    in-place += xi and *= each step's dt as a Python float, and decided by
-    _reference_bridge_step."""
+    in-place += xi, *= each step's dt as a Python float and a per-step add,
+    and decided by _reference_bridge_step."""
     side = math.copysign(1.0, thr)
     dt_list = dts.tolist()
     noise_scale = np.sqrt(1.0 / dts)
     t_before = np.concatenate([[0.0], np.cumsum(dts)])
-    gam = np.zeros(c.size)
-    alive = np.arange(c.size)
-    times = np.full(c.size, np.nan)
+    gam = np.zeros(v.size)
+    alive = np.arange(v.size)
+    times = np.full(v.size, np.nan)
     k0 = 0
     while k0 < dts.size and alive.size:
         k1 = min(k0 + min(max(k0, fpt._FIRST_BLOCK), fpt._BLOCK), dts.size)
@@ -581,8 +583,7 @@ def _reference_walk(c, thr, dts, draw):
         g[0] = gam
         inc = np.empty(alive.size)
         for i in range(k1 - k0):
-            np.add(g[i], c, out=inc)
-            np.tanh(inc, out=inc)
+            np.copyto(inc, v)
             inc += xi[i]
             inc *= dt_list[k0 + i]
             np.add(g[i], inc, out=g[i + 1])
@@ -598,17 +599,34 @@ def _reference_walk(c, thr, dts, draw):
         frac = fpt.hit_fraction(g[first, lanes], g[first + 1, lanes], thr, side)
         times[alive[lanes]] = t_before[k] + dts[k] * frac
         keep = ~done
-        alive, gam, c = alive[keep], g[-1, keep], c[keep]
+        alive, gam, v = alive[keep], g[-1, keep], v[keep]
         k0 = k1
     return times, int(alive.size)
+
+
+def _logged_stream(seed, n_walks, p_even, blocks):
+    """The parity signs and the block_draws callback of the stream
+    SeedSequence(seed, spawn_key=(0,)), parities first, as
+    fpt._parity_walks draws them; each block's (k1, open walks) is
+    appended to blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    v = np.where(rng.random(n_walks) < p_even, 1.0, -1.0)
+    draw = fpt.block_draws(rng)
+
+    def logged(k0, k1, alive):
+        blocks.append((k1, alive.size))
+        return draw(k0, k1, alive)
+
+    return v, logged
 
 
 @pytest.mark.parametrize("n_walks", [256, 37])
 @pytest.mark.parametrize("seed", [0, 11])
 def test_walk_first_passage_matches_scratch_row_reference(seed, n_walks):
-    """The crossing kernel's walks (finite offset c, fine then coarse
-    steps over a 12 T_M window) equal _reference_walk bit for bit, on the
-    11 crossing-statistics states at two fine steps, for full and partial
+    """The crossing kernel's walks (a parity drawn per walk, then drift
+    +-1, fine then coarse steps over a 12 T_M window) equal _reference_walk
+    on the same parity draw and stream bit for bit, on the 11
+    crossing-statistics states at two fine steps, for full and partial
     256-walk chunks; some of them step through the coarse phase."""
     tau_max = 12.0
     signs, coarse_steps = set(), 0
@@ -616,29 +634,53 @@ def test_walk_first_passage_matches_scratch_row_reference(seed, n_walks):
         st = fpt.diagonal_state(state)
         pred = fpt.predict(st)
         thr = pred.r2 if math.isfinite(pred.r2) else pred.r1
-        c = np.full(n_walks, fpt.drift_offset(st.p_even, st.p_odd))
         dts = fpt.walk_dts(thr, dt1, tau_max)
         n_fine = int(np.sum(dts == dt1))
         blocks = []
-
-        def stream():
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-            draw = fpt.block_draws(np.random.default_rng(seq))
-
-            def logged(k0, k1, alive):
-                blocks.append((k1, alive.size))
-                return draw(k0, k1, alive)
-
-            return logged
-
-        got, n_open = fpt.walk_first_passage(c, thr, dts, stream())
-        ref, ref_open = _reference_walk(c, thr, dts, stream())
+        got, n_open = fpt._parity_walks(seed, 0, st.p_even, n_walks, thr, dts)
+        v, draw = _logged_stream(seed, n_walks, st.p_even, blocks)
+        ref, ref_open = _reference_walk(v, thr, dts, draw)
         assert np.array_equal(got, ref, equal_nan=True), state
         assert n_open == ref_open, state
         signs.add(math.copysign(1.0, thr))
         coarse_steps += sum(size * max(0, k1 - n_fine) for k1, size in blocks)
     assert signs == {-1.0, 1.0}
     assert coarse_steps > 0
+
+
+# (p_even, threshold, fine step, window): near thresholds on both sides
+# whose windows end in the coarse phase, and a far one whose short window
+# leaves walks open
+SIGN_WALKS = [
+    (0.5, -0.5, 1e-2, 12.0),
+    (0.3, 0.7, 2e-3, 14.0),
+    (0.5, -5.0, 2e-3, 4.0),
+    (0.04, 1.9459101490553132, 1e-2, 12.0),
+]
+
+
+@pytest.mark.parametrize("n_walks", [256, 37])
+def test_walk_first_passage_keeps_the_tanh_walk_bits_on_signs(n_walks):
+    """walk_first_passage on drift signs v = +-1 has the bits of the retired
+    filter walk step_reference.tanh_walk at c = v * inf on the same stream,
+    which is what keeps walk_crossing_times' output: the same times and
+    open counts, through the fine and the coarse phase, with walks retired
+    by a crossing and by escape, and walks left open."""
+    coarse = escaped = still_open = 0
+    for seed, (p_even, thr, dt1, tau_max) in enumerate(SIGN_WALKS):
+        dts = fpt.walk_dts(thr, dt1, tau_max)
+        n_fine = int(np.sum(dts == dt1))
+        blocks = []
+        v, draw = _logged_stream(seed, n_walks, p_even, blocks)
+        got, n_open = fpt.walk_first_passage(v, thr, dts, draw)
+        _, draw = _logged_stream(seed, n_walks, p_even, [])
+        ref, ref_open = tanh_walk(v * math.inf, thr, dts, draw)
+        assert got.tobytes() == ref.tobytes(), (p_even, thr)
+        assert n_open == ref_open, (p_even, thr)
+        coarse += sum(size for k1, size in blocks if k1 > n_fine)
+        escaped += int(np.isnan(got).sum()) - n_open
+        still_open += n_open
+    assert coarse > 0 and escaped > 0 and still_open > 0
 
 
 def test_bridge_step_at_the_exp_cutoff():

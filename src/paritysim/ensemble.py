@@ -433,14 +433,14 @@ def _crossing_chunk(args) -> dict:
     record log-likelihood gamma, p_i(gamma) proportional to
     p_i(0) exp(I_i gamma), and given the parity (even with probability
     p1 + p2) gamma is Brownian motion with drift +-1 and D = 1/2.
-    fpt._parity_walks draws each run's parity, then steps the runs in
-    blocks over the fine-then-coarse steps of fpt.walk_dts, one running sum
-    per block, and fpt.bridge_step resolves each crossing.
+    fpt._parity_walks draws each run's parity, then walks the runs in
+    blocks over the fine-then-coarse steps of fpt.walk_dts, end point
+    first, and fpt.bridge_step resolves each crossing of the near runs.
 
     The chunk draws from one generator,
     SeedSequence(entropy=seed, spawn_key=(lo // _CHUNK,)): the runs'
-    parities, then in each block the normals and the bridge uniforms of the
-    runs still open (fpt.block_draws). A run's time is therefore a
+    parities, then in each block the end points of the runs still open and
+    the near runs' paths (fpt.block_draws). A run's time is therefore a
     deterministic function of the seed and its chunk, fixed by the _CHUNK
     boundaries whatever the worker count; it also depends on the block
     schedule and on the other runs of the chunk, so a partial last chunk

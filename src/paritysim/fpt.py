@@ -52,13 +52,12 @@ __all__ = [
 CLASS_TOL = 1e-12
 DRIFT = 1.0       # |v| of the log-likelihood walk, tau units
 DIFFUSION = 0.5   # D of the log-likelihood walk, tau units
-ESCAPE = 6.0      # distance beyond the surviving side at which a walk is
-                  # retired as never-crossing (recovery probability e^{-2*6})
+ESCAPE = 6.0      # distance past thr at which a walk drifting away retires (recovery e^-12)
 _FIRST_BLOCK = 16     # walk steps between the first crossing decisions,
 _BLOCK = 128          # doubling up to this many
 _WALK_CHUNK = 16384   # oracle walkers per stream
 _WALK_TAIL = 24.0     # oracle window beyond the bulk, tau units
-_EXP_CUTOFF = 746.0   # exp(-x) is exactly 0 for every x beyond this
+_FAR = 53.0 * math.log(2.0)   # exp(-x) <= 2^-53, rng.random's spacing, beyond this
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,35 +369,18 @@ def bridge_step(g0, g1, thr: float, side: float, dt, u):
     hit, located by linear interpolation within the step. Otherwise the
     Brownian bridge between the samples crossed with probability
     exp(-a b / (D dt)), a and b the signed distances at either end; the
-    uniform u decides it, and the time is put mid-step. A walk that is not
-    crossed and ends ESCAPE beyond the surviving side retires as never
-    crossing. Elementwise over broadcastable arrays, so the same rule
-    serves one step of many walks or many steps of many walks; the masked
-    exp always broadcasts, and a per-row dt keeps the cutoff product small.
+    uniform u decides it, and the time is put mid-step. Elementwise over
+    broadcastable arrays, so the same rule serves one step of many walks or
+    many steps of many walks with a per-row dt. On the near walks that
+    walk_first_passage steps, the exponential is evaluated everywhere.
 
-    The exponential is evaluated only where it can be nonzero: once
-    a b >= 746 D dt it underflows to exactly 0 (below exp(-745.14)), and
-    no uniform in [0, 1) is below 0. The decisions are those of the full
-    expression, bit for bit.
-
-    Returns (crossed, retire): the crossed mask and the mask of walks that
-    leave (crossed or escaped). hit_fraction places a crossing in its step.
+    Returns the crossed mask. hit_fraction places a crossing in its step.
     """
     d0 = g0 - thr
     d1 = g1 - thr
-    if side > 0:
-        crossed, escaped = d1 >= 0.0, d1 < -ESCAPE
-    else:
-        crossed, escaped = d1 <= 0.0, d1 > ESCAPE
-    # a b = (side d0)(side d1) = d0 d1 exactly; -d0 d1 > 0 only on a step
-    # that straddles thr, which is direct anyway
-    ab = d0 * d1
-    near = ab < _EXP_CUTOFF * DIFFUSION * dt
-    ab, dt, u, near = np.broadcast_arrays(ab, dt, u, near)
-    bridged = np.zeros(ab.shape, dtype=bool)
-    bridged[near] = u[near] < np.exp(-ab[near] / (DIFFUSION * dt[near]))
-    crossed = crossed | bridged
-    return crossed, crossed | escaped
+    # a b = (side d0)(side d1) = d0 d1 exactly
+    bridged = u < np.exp(-(d0 * d1) / (DIFFUSION * dt))
+    return (d1 >= 0.0 if side > 0 else d1 <= 0.0) | bridged
 
 
 def _crossing_fraction(g0, g1, level):
@@ -431,11 +413,11 @@ def walk_dts(thr: float, dt1: float, tau_max: float) -> np.ndarray:
     """Per-step dt of a walk window [0, tau_max] against the threshold thr.
 
     Fine steps dt1 through the bulk of the conditional-time distribution,
-    then 20x coarser through the straggler tail. The bridge rule keeps the
-    crossing fraction unbiased at any step size, so coarsening only touches
-    the time resolution of the few late crossers. Step counts are rounded
-    up, so the steps can end less than one step past tau_max;
-    ensemble._crossing_chunk counts a crossing located there as open.
+    then 20x coarser through the straggler tail. The bridge rule, on blocks
+    and steps, keeps the crossing fraction unbiased at any step size, so
+    coarsening only touches the time resolution of the few late crossers.
+    Step counts are rounded up, so the steps can end less than one step
+    past tau_max; ensemble._crossing_chunk counts a crossing there as open.
     """
     n1 = max(1, int(math.ceil(min(_tau_bulk(thr), tau_max) / dt1)))
     dt2 = 20.0 * dt1
@@ -444,70 +426,87 @@ def walk_dts(thr: float, dt1: float, tau_max: float) -> np.ndarray:
 
 
 def block_draws(rng: np.random.Generator):
-    """walk_first_passage draw callback on one generator: each block takes
-    rng.standard_normal((k1 - k0, alive.size)) for the open walks, then
-    rng.random of the same shape, after _parity_walks's parity draw. A
-    walk's values thus depend on the block schedule (_FIRST_BLOCK doubling
-    to _BLOCK) and on which other walks of the generator are still open."""
+    """walk_first_passage's draws (endpoints, path) on one generator, after
+    _parity_walks's parity draw. Each block [k0, k1) takes
+    rng.standard_normal(walks.size) for the open walks' end points, then,
+    if a walk is near, rng.standard_normal((k1 - k0, walks.size)) and
+    rng.random of that shape for the near walks: a walk's values depend on
+    the block schedule and on which other walks are open or near."""
 
-    def draw(k0, k1, alive):
-        shape = (k1 - k0, alive.size)
+    def endpoints(k0, k1, walks):
+        return rng.standard_normal(walks.size)
+
+    def path(k0, k1, walks):
+        shape = (k1 - k0, walks.size)
         return rng.standard_normal(shape), rng.random(shape)
 
-    return draw
+    return endpoints, path
+
+
+def _bridge_fill(g, xi, sqrt_dt, t):
+    """Fill the inner rows of g (m + 1, n), whose first and last rows are
+    set, with the Brownian bridge between them at the steps' end times t
+    (m,): g0 + W_i + t_i (g_m - g0 - W_m) / t_m, W the running sum of
+    sqrt_dt * xi (D = 1/2). xi, (m, n) standard normals, is overwritten."""
+    w = np.multiply(xi, sqrt_dt[:, None], out=xi)
+    np.add.accumulate(w, axis=0, out=w)
+    slope = (g[-1] - g[0] - w[-1]) / t[-1]
+    np.add(g[0], w[:-1], out=g[1:-1])
+    np.multiply(t[:-1, None], slope, out=w[:-1])
+    g[1:-1] += w[:-1]
 
 
 def walk_first_passage(v: np.ndarray, thr: float, dts: np.ndarray, draw):
     """First passage across thr of walks dg = (v + xi/sqrt(dt)) dt from
     g = 0, one per drift sign v (+-1.0), with the per-step dt of dts.
 
-    Open walks are stepped a block of steps at a time with g recorded at
-    every step: three calls write the block's increments (v + xi) dt and
-    their running sum, np.add.accumulate, which adds in order, so g[i + 1]
-    has the bits of g[i] + (v + xi) dt. bridge_step then decides the whole
-    block at once. Each walk's first retiring step fixes its time, and
-    hit_fraction is evaluated on those steps alone; steps taken after it
-    within the block are discarded, and the open walks are compacted.
+    Open walks go a block [k0, k1) of span T at a time, end point first:
+    g1 = g0 + v T + sqrt(T) eta. The bridge to g1 touches thr with
+    probability exp(-d0 d1 / (D T)), d = g - thr; where that is at most
+    2^-53 (d0 d1 >= _FAR D T) the walk is far and moves to g1 uncrossed.
+    The near walks draw a path on the bridge to g1 (_bridge_fill) that
+    bridge_step decides step by step; a walk's first crossing step fixes
+    its time (hit_fraction). At the block end a walk that has not crossed
+    and drifts away from thr retires once ESCAPE beyond it.
 
-    draw(k0, k1, alive) supplies the standard normals xi and the bridge
-    uniforms of steps [k0, k1) for the open walks, as two
-    (k1 - k0, alive.size) arrays; alive holds their indices into v.
-    _parity_walks passes block_draws, so the block schedule, starting at
-    _FIRST_BLOCK steps and doubling to _BLOCK, shapes what each walk draws.
+    draw is block_draws's pair: endpoints(k0, k1, walks) gives the open
+    walks' normals eta, path(k0, k1, walks) the near walks' normals xi and
+    uniforms, two (k1 - k0, walks.size) arrays, and is not called when no
+    walk is near; walks indexes v.
 
     Returns (times, n_open): crossing times (nan where a walk escaped or
     stayed open) and the count of walks still open at the window end.
     """
+    endpoints, path = draw
     side = math.copysign(1.0, thr)
-    n_steps = dts.size
-    noise_scale = np.sqrt(1.0 / dts)
+    sqrt_dt = np.sqrt(dts)
     t_before = np.concatenate([[0.0], np.cumsum(dts)])   # t += dt, in order
     gam = np.zeros(v.size)
     alive = np.arange(v.size)
     times = np.full(v.size, np.nan)
     k0 = 0
-    while k0 < n_steps and alive.size:
+    while k0 < dts.size and alive.size:
         # short first blocks, so that the many walks retiring within the
         # first steps do not each pay for a full block of steps
-        k1 = min(k0 + min(max(k0, _FIRST_BLOCK), _BLOCK), n_steps)
-        xi, unif = draw(k0, k1, alive)
-        xi *= noise_scale[k0:k1, None]
-        g = np.empty((k1 - k0 + 1, alive.size))
-        g[0] = gam
-        np.add(v, xi, out=g[1:])
-        np.multiply(g[1:], dts[k0:k1, None], out=g[1:])
-        np.add.accumulate(g, axis=0, out=g)
-        crossed, retire = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
-        done = retire.any(axis=0)
-        lanes = np.nonzero(done)[0]
-        first = retire[:, lanes].argmax(axis=0)
-        hit = crossed[first, lanes]
-        lanes, first = lanes[hit], first[hit]
-        k = k0 + first
-        frac = hit_fraction(g[first, lanes], g[first + 1, lanes], thr, side)
-        times[alive[lanes]] = t_before[k] + dts[k] * frac
+        k1 = min(k0 + min(max(k0, _FIRST_BLOCK), _BLOCK), dts.size)
+        t = t_before[k0 + 1 : k1 + 1] - t_before[k0]
+        g1 = gam + v * t[-1] + math.sqrt(t[-1]) * endpoints(k0, k1, alive)
+        done = v * (g1 - thr) > ESCAPE
+        near = np.flatnonzero((gam - thr) * (g1 - thr) < _FAR * DIFFUSION * t[-1])
+        if near.size:
+            xi, unif = path(k0, k1, alive[near])
+            g = np.empty((k1 - k0 + 1, near.size))
+            g[0], g[-1] = gam[near], g1[near]
+            _bridge_fill(g, xi, sqrt_dt[k0:k1], t)
+            crossed = bridge_step(g[:-1], g[1:], thr, side, dts[k0:k1, None], unif)
+            lanes = np.flatnonzero(crossed.any(axis=0))
+            first = crossed[:, lanes].argmax(axis=0)
+            k = k0 + first
+            frac = hit_fraction(g[first, lanes], g[first + 1, lanes], thr, side)
+            times[alive[near[lanes]]] = t_before[k] + dts[k] * frac
+            done[near[lanes]] = True
         keep = ~done
-        alive, gam, v = alive[keep], g[-1, keep], v[keep]
+        alive, gam, v = alive[keep], g1[keep], v[keep]
         k0 = k1
     return times, int(alive.size)
 
@@ -515,8 +514,9 @@ def walk_first_passage(v: np.ndarray, thr: float, dts: np.ndarray, draw):
 def _parity_walks(seed: int, chunk: int, p_even: float, n_walks: int, thr: float, dts):
     """walk_first_passage of n_walks walks on the stream rng of
     SeedSequence(seed, spawn_key=(chunk,)): each walk's parity first, even
-    (drift v = +1, else -1) where rng.random(n_walks) < p_even, then
-    block_draws(rng). Given its parity the log-likelihood has drift v, D = 1/2."""
+    (drift v = +1, else -1) where rng.random(n_walks) < p_even, then the
+    draws of block_draws(rng), each block's end points first. Given its
+    parity the log-likelihood has drift v, D = 1/2."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
     v = np.where(rng.random(n_walks) < p_even, DRIFT, -DRIFT)
     return walk_first_passage(v, thr, dts, block_draws(rng))
@@ -538,17 +538,16 @@ def walk_crossing_times(
     (even) or -1 (odd): the walks of _parity_walks, over
     walk_dts(r2, dt_tau, tau_bulk + 24). Sub-step crossings are resolved
     exactly with the Brownian-bridge crossing probability
-    exp(-(g0-r2)(g1-r2)/(D dtau)), so the crossing fraction is unbiased at
-    any step size; crossing times carry only an O(dtau) bias. Walkers
-    ESCAPE beyond the threshold on the surviving side retire early.
+    exp(-(g0-r2)(g1-r2)/(D dtau)), on whole blocks first, so the crossing
+    fraction is unbiased at any step size; crossing times carry only an
+    O(dtau) bias. Walkers drifting away retire ESCAPE beyond the threshold.
 
     Returns (crossed mask, times); times are nan for non-crossers.
     Deterministic in seed: walkers come in chunks of _WALK_CHUNK, and chunk
-    c draws its parities, then every block's normals and uniforms
-    (_parity_walks), from the one stream derived from
-    SeedSequence(seed, spawn_key=(c,)). A partial last chunk draws
-    differently from a full one, so a walker's time depends on n_walkers
-    unless its chunk is full in both.
+    c draws its parities, then its block draws (_parity_walks), from the
+    one stream of SeedSequence(seed, spawn_key=(c,)). A partial last chunk
+    draws differently from a full one, so a walker's time depends on
+    n_walkers unless its chunk is full in both.
     """
     if not 0.0 <= p_even <= 1.0:
         raise ValueError("p_even must be in [0, 1]")

@@ -24,7 +24,7 @@ from paritysim.ensemble import (
     _ensemble_chunk,
     coupled_step_bias,
 )
-from paritysim.fpt import _BLOCK, DIFFUSION, ESCAPE, drift_offset, walk_dts
+from paritysim.fpt import _BLOCK, drift_offset, walk_dts
 from paritysim.qstate import (
     Basis,
     DivergenceError,
@@ -41,7 +41,7 @@ from paritysim.trajectory import (
     _class_rows,
     simulate,
 )
-from step_reference import class_stepper
+from step_reference import block_walk, class_stepper
 
 MIXED = preset_state("mixed")
 ENTANGLED = sanitize(np.diag([0.1, 0.6, 0.2, 0.1]).astype(complex)).state
@@ -508,6 +508,19 @@ def test_validation_jobs_invariant():
     assert o1 == o2
 
 
+def test_validation_nearly_blocked_routes():
+    """Nearly blocked odd routes put the threshold at r2 = -5.06 and -7.37,
+    near and beyond ESCAPE from the start. The odd runs drift towards it
+    and cross; only the even runs, drifting away, may escape. So the
+    crossing fraction is p_odd = 1/2 and the mean time |r2|, within 3
+    standard errors each."""
+    cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=30.0, seed=5)
+    for eps in (1e-5, 1e-7):
+        rep = validate_against_analytics([0.25, 0.25, 0.25 - eps, 0.25 + eps], cfg, 2048)
+        assert abs(rep.fraction_z) <= 3.0, (eps, rep.to_dict())
+        assert abs(rep.mean_z) <= 3.0, (eps, rep.to_dict())
+
+
 def test_validation_rejects_bad_inputs():
     cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=4.0, dt=2e-3, seed=1)
     with pytest.raises(ValueError):
@@ -540,46 +553,10 @@ def test_crossing_times_are_positive_and_bounded():
     assert n_open > 0
 
 
-def _stepped_crossings(args, v, z, u):
-    """Plain per-run, per-step transcription of the crossing kernel.
-
-    Run j walks g + (v[j - lo] + z[k, j - lo] / sqrt(dt)) dt from 0 with
-    its drift sign v, its noise and bridge uniform of step k read from
-    z[k, j - lo] and u[k, j - lo], and the bridge rule written out.
-    Returns the times and each run's fate: (kind, step) with kind hit,
-    bridge, escape or open.
-    """
-    seed, p0, lo, hi, thr, dt1, tau_max = args
-    tau_bulk = min(abs(thr) + 6.0 * math.sqrt(abs(thr)) + 2.0, tau_max)
-    side = math.copysign(1.0, thr)
-    n1 = max(1, math.ceil(tau_bulk / dt1))
-    n2 = max(0, math.ceil((tau_max - n1 * dt1) / (20.0 * dt1)))
-    dts = [dt1] * n1 + [20.0 * dt1] * n2
-    times, fates = [], []
-    for j in range(lo, hi):
-        g, t, time_j, fate = 0.0, 0.0, math.nan, ("open", len(dts))
-        for k, dt in enumerate(dts):
-            g_new = g + (v[j - lo] + z[k, j - lo] * math.sqrt(1.0 / dt)) * dt
-            a, b = side * (g - thr), side * (g_new - thr)
-            if b >= 0.0:
-                time_j, fate = t + dt * (thr - g) / (g_new - g), ("hit", k)
-                break
-            if u[k, j - lo] < math.exp(-(a * b) / (DIFFUSION * dt)):
-                time_j, fate = t + 0.5 * dt, ("bridge", k)
-                break
-            if b < -ESCAPE:
-                fate = ("escape", k)
-                break
-            g, t = g_new, t + dt
-        times.append(time_j)
-        fates.append(fate)
-    return np.array(times), fates, n1
-
-
 _COVERS = {
     # runs retired after the step coarsens 20x
-    "coarse": lambda fates, n1: sum(k >= n1 for _, k in fates) >= 5,
-    # runs still open after 32 full noise blocks of the walk driver
+    "coarse": lambda fates, n1: sum(f != "open" and k >= n1 for f, k in fates) >= 5,
+    # runs still walking after 32 full blocks of walk_first_passage
     "noise_block": lambda fates, n1: sum(k >= 32 * _BLOCK for _, k in fates) >= 3,
     # runs retired by escape
     "escape": lambda fates, n1: sum(f == "escape" for f, _ in fates) >= 30,
@@ -593,47 +570,34 @@ _COVERS = {
     [
         ((0.10, 0.10, 0.28, 0.52), 1e-2, "coarse"),
         # a nearly blocked odd route puts the threshold at r2 = -5.06, which
-        # the odd walks reach late; the open runs are even walks that
-        # neither cross back to r2 = -1.10 nor escape within the window
+        # the odd runs, drifting towards it, reach late
         ((0.25, 0.25, 0.25 - 1e-5, 0.25 + 1e-5), 2e-3, "noise_block"),
         ((0.05, 0.05, 0.00, 0.90), 2e-3, "escape"),
-        ((0.45, 0.45, 0.00, 0.10), 1e-2, "open"),
+        # r2 = -9.67: an odd run, drifting towards it, is still open at
+        # 12 T_M with probability 0.20
+        ((0.25, 0.25, 0.25 - 1e-9, 0.25 + 1e-9), 1e-2, "open"),
     ],
 )
-def test_crossing_chunk_matches_per_step_reference(state, dt, case, monkeypatch):
-    """_crossing_chunk, its block draws served from seeded tables
-    z[step, run] and u[step, run] in place of the chunk stream, against the
-    per-step reference reading the same tables. Column j of each table
-    comes from its own stream, SeedSequence(seed, spawn_key=(j,)) for z and
-    (j, 1) for u. The reference's drift signs are the parity draw that
-    opens the chunk stream: even (+1) where rng.random(hi - lo) < p1 + p2."""
+def test_crossing_chunk_matches_per_step_reference(state, dt, case):
+    """_crossing_chunk against step_reference.block_walk, which walks each
+    run step by step on Python floats, on the chunk stream
+    SeedSequence(seed, spawn_key=(lo // _CHUNK,)): the parity draw, even
+    (+1) where rng.random(hi - lo) < p1 + p2, then fpt.block_draws. A
+    crossing after the window end counts as open. Times and the open count
+    are equal bit for bit."""
     cfg = SimConfig(delta=0.0, k_ratio=1.0, duration=12.0, dt=dt, seed=11)
     args = _crossing_chunks(state, cfg, 64)[0]
-    _, p0, lo, hi, thr, dt1, tau_max = args
-    n_steps = walk_dts(thr, dt1, tau_max).size
-    chunk = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(lo // _CHUNK,)))
+    seed, p0, lo, hi, thr, dt1, tau_max = args
+    dts = walk_dts(thr, dt1, tau_max)
+    chunk = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _CHUNK,)))
     v = np.where(chunk.random(hi - lo) < p0[0] + p0[1], 1.0, -1.0)
-
-    def table(draw, *key):
-        return np.stack([
-            draw(np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, *key))))
-            for j in range(lo, hi)
-        ], axis=1)
-
-    z = table(lambda g: g.standard_normal(n_steps))
-    u = table(lambda g: g.random(n_steps), 1)
-    ref_times, fates, n1 = _stepped_crossings(args, v, z, u)
-    assert _COVERS[case](fates, n1)
-
-    def table_draw(k0, k1, alive):
-        return z[k0:k1, alive], u[k0:k1, alive]
-
-    monkeypatch.setattr(fpt, "block_draws", lambda rng: table_draw)
+    ref, n_open, fates, _ = block_walk(v, thr, dts, fpt.block_draws(chunk))
+    assert _COVERS[case](fates, int(np.sum(dts == dt1)))
+    late = ref > tau_max
+    ref[late] = np.nan
     got = _crossing_chunk(args)
-    crossed = ~np.isnan(ref_times)
-    assert np.array_equal(~np.isnan(got["times"]), crossed)
-    assert got["n_open"] == sum(f == "open" for f, _ in fates)
-    assert np.max(np.abs(got["times"][crossed] - ref_times[crossed])) <= 1e-12
+    assert got["times"].tobytes() == ref.tobytes()
+    assert got["n_open"] == n_open + int(late.sum())
 
 
 def test_crossing_times_fixed_by_seed_and_chunk():
